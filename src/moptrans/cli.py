@@ -84,18 +84,15 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     ref = device.transduction_mode
     offsets = TWO_PI * (freq_hz - ref.omega_m / TWO_PI)
 
-    if len(device.acoustic_modes) == 1 and cfg.pump_detuning == 0.0:
-        spec = response.onchip_efficiency_spectrum(device, pump, offsets)
-        eta = spec.channel("eta_onchip")
-    else:
-        spec = response.multimode_spectrum(device, pump, cfg.pump_detuning, offsets)
-        eta = spec.channel("eta_onchip")
-
+    spec = response.multimode_spectrum(device, pump, cfg.pump_detuning, offsets)
+    eta = spec.channel("eta_onchip")
     losses = device.losses
     eta_off = losses.eta_probes * losses.eta_fiber_chip * eta
 
     # S parameters from the mode nearest to each grid point
-    op_by_mode = [operating_point(device, pump, acoustic_mode=m) for m in device.acoustic_modes]
+    op_by_mode = [
+        operating_point(device, pump, m, cfg.pump_detuning) for m in device.acoustic_modes
+    ]
     mode_freqs = np.array([m.omega_m for m in device.acoustic_modes])
     s_ac = np.empty(freq_hz.size, dtype=complex)
     s_cc = np.empty(freq_hz.size, dtype=complex)
@@ -354,3 +351,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

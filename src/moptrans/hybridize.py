@@ -71,10 +71,6 @@ class Supermodes:
             if abs(norm - 1.0) > _NORM_TOL:
                 raise ValueError(f"participation amplitudes not normalized: {norm!r}")
 
-    @property
-    def splitting(self) -> float:
-        return self.delta_omega
-
 
 @dataclass(frozen=True)
 class EffectiveCouplings:
@@ -199,23 +195,26 @@ def eigen_oracle(
 
 
 def steady_state_amplitudes(
-    sm: Supermodes, pump: PumpConfig, eta_fiber_chip: float
+    sm: Supermodes, pump: PumpConfig, eta_fiber_chip: float, pump_detuning: float = 0.0
 ) -> tuple[complex, complex]:
-    """Steady-state supermode amplitudes under a resonant pump.
+    """Steady-state supermode amplitudes under a pump offset by
+    `pump_detuning` (rad/s) from the supermode it addresses.
 
     alpha_pm = sqrt(kappa_ex_pm) s_in / (-i Delta_pm + kappa_pm / 2) with
-    |s_in|^2 the photon flux in the bus waveguide.  Triple resonance fixes
-    Delta on the addressed supermode to zero and on the other one to the
-    (negative of the) supermode splitting.
+    |s_in|^2 the photon flux in the bus waveguide.  Delta on the addressed
+    supermode is the pump detuning; on the other one it is further offset
+    by -splitting (anti-Stokes, pump on a_-) or +splitting (Stokes, pump on
+    a_+).
     """
     flux = photon_flux(eta_fiber_chip * pump.power_in, pump.omega_l_effective)
     s_in = math.sqrt(flux)
+    split = sm.omega_plus - sm.omega_minus
     if pump.configuration is Configuration.ANTI_STOKES:
-        delta_minus = 0.0
-        delta_plus = -(sm.omega_plus - sm.omega_minus)
+        delta_minus = pump_detuning
+        delta_plus = pump_detuning - split
     else:
-        delta_plus = 0.0
-        delta_minus = sm.omega_plus - sm.omega_minus
+        delta_plus = pump_detuning
+        delta_minus = pump_detuning + split
     a_minus = math.sqrt(sm.kappa_ex_minus) * s_in / (-1j * delta_minus + 0.5 * sm.kappa_minus)
     a_plus = math.sqrt(sm.kappa_ex_plus) * s_in / (-1j * delta_plus + 0.5 * sm.kappa_plus)
     return a_minus, a_plus
@@ -262,6 +261,13 @@ class OperatingPoint:
 
     The "active" optical supermode is the one addressed by the converted
     sideband: a_+ for anti-Stokes pumping, a_- for Stokes pumping.
+
+    sideband_detuning [rad/s] is the offset of the converted sideband from
+    the active supermode.  The transduction acoustic mode is triply
+    resonant by convention: with the pump on its supermode, its sideband
+    lands on the active one and the detuning is zero.  Other acoustic
+    modes, and a detuned pump, move the sideband off it; see
+    `operating_point`.
     """
 
     configuration: Configuration
@@ -276,6 +282,7 @@ class OperatingPoint:
     g_plus: complex
     splitting: float
     n_pump: float = 0.0
+    sideband_detuning: float = 0.0
 
     @property
     def g_active(self) -> complex:
@@ -309,21 +316,31 @@ def operating_point(
     params: DeviceParams,
     pump: PumpConfig,
     acoustic_mode=None,
+    pump_detuning: float = 0.0,
 ) -> OperatingPoint:
-    """Assemble the full operating point for `params` under `pump`.
+    """Assemble the full operating point for `params` under `pump`, offset
+    by `pump_detuning` (rad/s) from the supermode it addresses.
 
-    Uses the transduction acoustic mode unless another is supplied.
+    Uses the transduction acoustic mode unless another is supplied.  The
+    sideband detuning is pump_detuning + (omega_m - omega_m,t) for
+    anti-Stokes pumping and pump_detuning - (omega_m - omega_m,t) for
+    Stokes, with omega_m,t the transduction mode's frequency.
     """
-    mode = acoustic_mode if acoustic_mode is not None else params.transduction_mode
+    ref = params.transduction_mode
+    mode = acoustic_mode if acoustic_mode is not None else ref
     sm = supermodes(params.left, params.right, params.coupling_j)
-    a_minus, a_plus = steady_state_amplitudes(sm, pump, params.losses.eta_fiber_chip)
+    a_minus, a_plus = steady_state_amplitudes(
+        sm, pump, params.losses.eta_fiber_chip, pump_detuning
+    )
     x, y = left_ring_decomposition(sm)
     coup = effective_couplings(params.g0, x, y, a_minus, a_plus)
-    n_pump = (
-        abs(a_minus) ** 2
-        if pump.configuration is Configuration.ANTI_STOKES
-        else abs(a_plus) ** 2
-    )
+    mode_offset = mode.omega_m - ref.omega_m
+    if pump.configuration is Configuration.ANTI_STOKES:
+        n_pump = abs(a_minus) ** 2
+        sideband_detuning = pump_detuning + mode_offset
+    else:
+        n_pump = abs(a_plus) ** 2
+        sideband_detuning = pump_detuning - mode_offset
     return OperatingPoint(
         configuration=pump.configuration,
         omega_m=mode.omega_m,
@@ -335,6 +352,7 @@ def operating_point(
         kappa_ex_plus=sm.kappa_ex_plus,
         g_minus=coup.g_minus,
         g_plus=coup.g_plus,
-        splitting=sm.splitting,
+        splitting=sm.delta_omega,
         n_pump=n_pump,
+        sideband_detuning=sideband_detuning,
     )

@@ -7,7 +7,6 @@ quadratic terms are weighted by ratios of |S|^2 coefficients.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ G2_AUTO_ASSUMED = 2.0
 
 @dataclass(frozen=True)
 class ThermalEnvironment:
-    """Bath temperature [K] with memoized occupancy lookups."""
+    """Bath temperature [K] with occupancy lookups."""
 
     temperature: float
 
@@ -49,23 +48,18 @@ class NoiseReport:
     breakdown_down: dict = field(default_factory=dict)
 
 
-@functools.lru_cache(maxsize=4096)
-def _n_thermal_cached(omega: float, temperature: float) -> float:
-    if temperature == 0.0:
-        return 0.0
-    x = HBAR * omega / (K_B * temperature)
-    if x > 700.0:
-        return 0.0
-    return 1.0 / math.expm1(x)
-
-
 def n_thermal(omega: float, temperature: float) -> float:
     """Bose-Einstein occupancy [exp(hbar omega / k_B T) - 1]^-1."""
     if omega <= 0.0:
         raise ValueError("frequency must be positive")
     if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
-    return _n_thermal_cached(float(omega), float(temperature))
+    if temperature == 0.0:
+        return 0.0
+    x = HBAR * omega / (K_B * temperature)
+    if x > 700.0:
+        return 0.0
+    return 1.0 / math.expm1(x)
 
 
 def decoherence_rate(kappa_m: float, n_th: float) -> float:

@@ -20,6 +20,11 @@ Stokes (pump on a_+, determinant D = 1 - |g_-|^2 chi_- chi_m), anomalous
     S_aa = 1 - kex_- chi_- / D - kex_+ chi_+[w - splitting]
     S_cc = -1 + kex_m chi_m / D
 
+The sideband detuning d of the operating point shifts every optical
+susceptibility: chi_+ and chi_- above, spectator included, are evaluated
+at w + d, while chi_m stays at w.  It is zero for the transduction mode
+under a resonant pump.
+
 The on-chip photon-number conversion efficiency is |S_ac|^2 = |S_ca|^2 for
 either configuration.
 """
@@ -33,14 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstabilityError
-from .hybridize import OperatingPoint, operating_point, supermodes, steady_state_amplitudes, left_ring_decomposition, effective_couplings
-from .model import (
-    HBAR,
-    Configuration,
-    DeviceParams,
-    PumpConfig,
-    photon_flux,
-)
+from .hybridize import OperatingPoint, operating_point, supermodes
+from .model import HBAR, Configuration, DeviceParams, PumpConfig
 
 PORTS = ("optical", "microwave")
 
@@ -157,7 +156,7 @@ def transfer_from_rates(op: OperatingPoint, from_port: str, to_port: str, omega)
 
     omega = np.asarray(omega, dtype=float)
     chi_m = _chi(omega, op.kappa_m)
-    chi_o = _chi(omega, op.kappa_active)
+    chi_o = _chi(omega + op.sideband_detuning, op.kappa_active)
     g = op.g_active
     if op.configuration is Configuration.ANTI_STOKES:
         det = 1.0 + abs(g) ** 2 * chi_o * chi_m
@@ -176,9 +175,13 @@ def transfer_from_rates(op: OperatingPoint, from_port: str, to_port: str, omega)
         out = -1.0 + op.kappa_ex_m * chi_m / det
     else:  # optical -> optical
         if op.configuration is Configuration.ANTI_STOKES:
-            spectator = op.kappa_ex_minus * _chi(omega + op.splitting, op.kappa_minus)
+            spectator = op.kappa_ex_minus * _chi(
+                omega + op.sideband_detuning + op.splitting, op.kappa_minus
+            )
         else:
-            spectator = op.kappa_ex_plus * _chi(omega - op.splitting, op.kappa_plus)
+            spectator = op.kappa_ex_plus * _chi(
+                omega + op.sideband_detuning - op.splitting, op.kappa_plus
+            )
         out = 1.0 - op.kappa_ex_active * chi_o / det - spectator
     return out if out.ndim else complex(out)
 
@@ -264,35 +267,6 @@ def offchip_efficiency(params: DeviceParams, pump: PumpConfig) -> EfficiencyBudg
 # multimode spectra
 # ---------------------------------------------------------------------------
 
-def multimode_eta_from_rates(ops, detunings, omega, omega_refs):
-    """Sum of per-mode conversion efficiencies (incoherent addition).
-
-    ops/detunings/omega_refs are parallel sequences: per-mode operating
-    points, effective sideband detunings and mode offsets relative to the
-    common grid origin.
-    """
-    omega = np.asarray(omega, dtype=float)
-    total = np.zeros_like(omega)
-    for op, det, ref in zip(ops, detunings, omega_refs):
-        w = omega - ref
-        chi_m = _chi(w, op.kappa_m)
-        chi_o = _chi(w + det, op.kappa_active)
-        g = op.g_active
-        if op.configuration is Configuration.ANTI_STOKES:
-            d = 1.0 + abs(g) ** 2 * chi_o * chi_m
-        else:
-            d = 1.0 - abs(g) ** 2 * chi_o * chi_m
-        total += (
-            op.kappa_ex_active
-            * op.kappa_ex_m
-            * abs(g) ** 2
-            * np.abs(chi_o) ** 2
-            * np.abs(chi_m) ** 2
-            / np.abs(d) ** 2
-        )
-    return total
-
-
 def multimode_spectrum(
     params: DeviceParams,
     pump: PumpConfig,
@@ -303,18 +277,11 @@ def multimode_spectrum(
     detuned by `pump_detuning` (rad/s) from its supermode.
 
     The grid is the offset from the transduction mode's frequency.  Each
-    mode contributes an independent closed form whose sideband detuning is
-    pump_detuning + (omega_mk - splitting) for anti-Stokes pumping (and the
-    negative for Stokes); overlapping modes (separation < 3 kappa_m) raise
-    a regime warning but are still summed.
+    mode contributes |S_ac|^2 of its own operating point (see
+    `operating_point` for its sideband detuning), added incoherently;
+    overlapping modes (separation < 3 kappa_m) raise a regime warning but
+    are still summed.
     """
-    sm = supermodes(params.left, params.right, params.coupling_j)
-    a_minus, a_plus = steady_state_amplitudes_detuned(
-        sm, pump, params.losses.eta_fiber_chip, pump_detuning
-    )
-    x, y = left_ring_decomposition(sm)
-    coup = effective_couplings(params.g0, x, y, a_minus, a_plus)
-
     modes = params.acoustic_modes
     freqs = [m.omega_m for m in modes]
     if len(modes) > 1:
@@ -327,50 +294,15 @@ def multimode_spectrum(
                 RuntimeWarning,
             )
 
-    ref_mode = params.transduction_mode
-    ops, dets, refs = [], [], []
-    for m in modes:
-        ops.append(
-            OperatingPoint(
-                configuration=pump.configuration,
-                omega_m=m.omega_m,
-                kappa_m=m.kappa_m,
-                kappa_ex_m=m.kappa_ex_m,
-                kappa_minus=sm.kappa_minus,
-                kappa_plus=sm.kappa_plus,
-                kappa_ex_minus=sm.kappa_ex_minus,
-                kappa_ex_plus=sm.kappa_ex_plus,
-                g_minus=coup.g_minus,
-                g_plus=coup.g_plus,
-                splitting=sm.splitting,
-            )
-        )
-        mismatch = pump_detuning + (m.omega_m - sm.splitting)
-        if pump.configuration is Configuration.STOKES:
-            mismatch = pump_detuning - (m.omega_m - sm.splitting)
-        dets.append(mismatch)
-        refs.append(m.omega_m - ref_mode.omega_m)
-
     grid = np.asarray(omega_grid, dtype=float)
-    eta = multimode_eta_from_rates(ops, dets, grid, refs)
+    ref = params.transduction_mode.omega_m
+    eta = sum(
+        eta_spectrum_from_rates(
+            operating_point(params, pump, m, pump_detuning), grid - (m.omega_m - ref)
+        )
+        for m in modes
+    )
     return Spectrum(grid, eta, ("eta_onchip",))
-
-
-def steady_state_amplitudes_detuned(sm, pump, eta_fiber_chip, pump_detuning):
-    """Steady-state supermode amplitudes for a pump offset by
-    `pump_detuning` from its nominal supermode."""
-    flux = photon_flux(eta_fiber_chip * pump.power_in, pump.omega_l_effective)
-    s_in = math.sqrt(flux)
-    split = sm.omega_plus - sm.omega_minus
-    if pump.configuration is Configuration.ANTI_STOKES:
-        delta_minus = pump_detuning
-        delta_plus = pump_detuning - split
-    else:
-        delta_plus = pump_detuning
-        delta_minus = pump_detuning + split
-    a_minus = math.sqrt(sm.kappa_ex_minus) * s_in / (-1j * delta_minus + 0.5 * sm.kappa_minus)
-    a_plus = math.sqrt(sm.kappa_ex_plus) * s_in / (-1j * delta_plus + 0.5 * sm.kappa_plus)
-    return a_minus, a_plus
 
 
 # ---------------------------------------------------------------------------

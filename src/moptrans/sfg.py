@@ -24,8 +24,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import InstabilityError
-from .hybridize import OperatingPoint, operating_point
-from .model import Configuration, DeviceParams, PumpConfig
+from .hybridize import OperatingPoint
 
 GainFn = Callable[[float], complex]
 
@@ -245,7 +244,8 @@ def antistokes_graph_from_rates(op: OperatingPoint) -> FlowGraph:
     -|g_+|^2 chi_+ chi_m.  Evaluation offset omega is common to the
     microwave signal (from omega_m) and the optical signal (from
     omega_L + omega_m); the far-detuned spectator a_minus sees the signal
-    at chi_-[omega + splitting].
+    at chi_-[omega + splitting].  Models zero sideband detuning:
+    `op.sideband_detuning` is not read.
     """
     g = op.g_plus
     chi_m = _chi(op.kappa_m)
@@ -287,7 +287,8 @@ def stokes_graph_from_rates(op: OperatingPoint) -> FlowGraph:
     the optical-annihilation sector {a_in, c_in_dag, a_minus, b_dag, a_out,
     c_out_dag} with loop |g_-|^2 chi_- chi_m, and the microwave sector
     {c_in, a_in_dag, b, a_minus_dag, c_out, a_out_dag} with the same loop
-    gain; both determinants are 1 - |g_-|^2 chi_-[w] chi_m[w].
+    gain; both determinants are 1 - |g_-|^2 chi_-[w] chi_m[w].  Models zero
+    sideband detuning: `op.sideband_detuning` is not read.
     """
     g = op.g_minus
     chi_m = _chi(op.kappa_m)
@@ -340,42 +341,3 @@ def stokes_graph_from_rates(op: OperatingPoint) -> FlowGraph:
     fg.add_edge("c_in", "c_out", lambda w: -1.0, "-1")
     return fg
 
-
-def build_antistokes_graph(params: DeviceParams, couplings=None, pump: PumpConfig | None = None) -> FlowGraph:
-    """Anti-Stokes graph for a device.  Either pass precomputed
-    EffectiveCouplings (with the device) or a PumpConfig from which the
-    operating point is derived."""
-    op = _op_from_args(params, couplings, pump, Configuration.ANTI_STOKES)
-    return antistokes_graph_from_rates(op)
-
-
-def build_stokes_graph(params: DeviceParams, couplings=None, pump: PumpConfig | None = None) -> FlowGraph:
-    """Stokes graph for a device; see build_antistokes_graph."""
-    op = _op_from_args(params, couplings, pump, Configuration.STOKES)
-    return stokes_graph_from_rates(op)
-
-
-def _op_from_args(params, couplings, pump, configuration) -> OperatingPoint:
-    from .hybridize import supermodes
-
-    if pump is not None:
-        if pump.configuration is not configuration:
-            raise ValueError("pump configuration does not match requested graph")
-        return operating_point(params, pump)
-    if couplings is None:
-        raise ValueError("need either couplings or a pump configuration")
-    sm = supermodes(params.left, params.right, params.coupling_j)
-    mode = params.transduction_mode
-    return OperatingPoint(
-        configuration=configuration,
-        omega_m=mode.omega_m,
-        kappa_m=mode.kappa_m,
-        kappa_ex_m=mode.kappa_ex_m,
-        kappa_minus=sm.kappa_minus,
-        kappa_plus=sm.kappa_plus,
-        kappa_ex_minus=sm.kappa_ex_minus,
-        kappa_ex_plus=sm.kappa_ex_plus,
-        g_minus=couplings.g_minus,
-        g_plus=couplings.g_plus,
-        splitting=sm.splitting,
-    )

@@ -135,12 +135,11 @@ def _zero_drive(t: float) -> complex:
 
 
 def integrate(
-    params: DeviceParams,
+    op: OperatingPoint,
     couplings,
     drives: dict,
     t_span: tuple[float, float],
     dt: float,
-    configuration: Configuration = Configuration.ANTI_STOKES,
     g_envelope: Callable[[float], float] | None = None,
     initial: StateVector | None = None,
     record_every: int = 1,
@@ -148,11 +147,12 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 integration of the linearized equations of motion.
 
+    Models zero sideband detuning: `op.sideband_detuning` is not read.
+
     Parameters
     ----------
-    params, couplings : DeviceParams and EffectiveCouplings (or an
-        OperatingPoint passed as `params`, in which case `couplings` is
-        ignored).
+    op : OperatingPoint to integrate.
+    couplings : unused; pass None.
     drives : dict with optional keys "optical" and "microwave", each a
         callable t -> complex envelope (see module docstring for frames).
     t_span : (t0, t1) integration window [s].
@@ -164,10 +164,9 @@ def integrate(
     max_drive_freq : fastest frequency content of the drive envelopes [Hz],
         declared by the caller for step validation.
     """
-    op = _as_operating_point(params, couplings, configuration)
     opt = drives.get("optical", _zero_drive)
     mw = drives.get("microwave", _zero_drive)
-    has_opt = drives.get("optical") is not None and "optical" in drives
+    has_opt = drives.get("optical") is not None
 
     fastest = max(op.kappa_minus, op.kappa_plus, op.kappa_m) / TWO_PI + max_drive_freq
     if has_opt:
@@ -247,28 +246,6 @@ def integrate(
     return Trajectory(t=t_rec[:j], a_minus=am_rec[:j], a_plus=ap_rec[:j], b=b_rec[:j])
 
 
-def _as_operating_point(params, couplings, configuration) -> OperatingPoint:
-    if isinstance(params, OperatingPoint):
-        return params
-    from .hybridize import supermodes
-
-    sm = supermodes(params.left, params.right, params.coupling_j)
-    mode = params.transduction_mode
-    return OperatingPoint(
-        configuration=configuration,
-        omega_m=mode.omega_m,
-        kappa_m=mode.kappa_m,
-        kappa_ex_m=mode.kappa_ex_m,
-        kappa_minus=sm.kappa_minus,
-        kappa_plus=sm.kappa_plus,
-        kappa_ex_minus=sm.kappa_ex_minus,
-        kappa_ex_plus=sm.kappa_ex_plus,
-        g_minus=couplings.g_minus,
-        g_plus=couplings.g_plus,
-        splitting=sm.splitting,
-    )
-
-
 # ---------------------------------------------------------------------------
 # lock-in demodulation
 # ---------------------------------------------------------------------------
@@ -343,19 +320,6 @@ def pulsed_downconversion(
 
     # intracavity pump ring-up -> g_-(t); a_plus is pumped under Stokes
     kp = 0.5 * op.kappa_plus
-    sp_ = math.sqrt(op.kappa_ex_plus)
-    from .model import photon_flux as _flux
-
-    s_pump_peak = math.sqrt(
-        _flux(params.losses.eta_fiber_chip * pump_power, pump.omega_l_effective)
-    )
-    # steady-state pump amplitude used to normalize g_envelope
-    alpha_ss = sp_ * s_pump_peak / kp
-    if alpha_ss == 0.0:
-        g_scale = 0.0
-    else:
-        g_scale = 1.0
-
     km, kb = 0.5 * op.kappa_minus, 0.5 * op.kappa_m
     sm_ = math.sqrt(op.kappa_ex_minus)
     sb_out = math.sqrt(op.kappa_ex_m)
@@ -374,7 +338,7 @@ def pulsed_downconversion(
 
     def rhs(time, a_p_, am_, b_):
         d_ap = -kp * a_p_ + kp * pump_env(time)  # normalized ring-up
-        g = g_peak * a_p_ * g_scale
+        g = g_peak * a_p_
         d_am = -km * am_ + 1j * g * b_.conjugate() + sm_ * s_opt
         d_b = -kb * b_ + 1j * g * am_.conjugate()
         return d_ap, d_am, d_b

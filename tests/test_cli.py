@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moptrans
 from moptrans.calibrate import doublet_transmission, rc_step_model, s11_model
 from moptrans.cli import main
 from moptrans.config import load_config, parse_flat_toml
@@ -106,14 +111,18 @@ class TestConfigParsing:
 
 class TestSpectrumCommand:
     def test_single_mode_peak(self, tmp_path):
-        cfg = write_config(tmp_path, PAPER_CONFIG)
-        out = tmp_path / "spec.csv"
-        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
-        data = read_csv(out)
-        peak = data["freq_hz"][np.argmax(data["eta_onchip"])]
-        assert peak == pytest.approx(3.48e9, abs=1e6)
-        ratio = data["eta_offchip"] / np.clip(data["eta_onchip"], 1e-300, None)
-        assert np.allclose(ratio, 10 ** (-0.7), rtol=1e-9)
+        # a detuned pump must move the S columns with the efficiency column
+        for extra in ("", "pump_detuning_hz = 20.0e6\n"):
+            cfg = write_config(tmp_path, PAPER_CONFIG + extra)
+            out = tmp_path / "spec.csv"
+            assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+            data = read_csv(out)
+            peak = data["freq_hz"][np.argmax(data["eta_onchip"])]
+            assert peak == pytest.approx(3.48e9, abs=1e6)
+            ratio = data["eta_offchip"] / np.clip(data["eta_onchip"], 1e-300, None)
+            assert np.allclose(ratio, 10 ** (-0.7), rtol=1e-9)
+            s_ac_sq = data["s_ac_re"] ** 2 + data["s_ac_im"] ** 2
+            np.testing.assert_allclose(s_ac_sq, data["eta_onchip"], rtol=1e-9, atol=0.0)
 
     def test_two_mode_peaks(self, tmp_path):
         cfg = write_config(tmp_path, PAPER_CONFIG + TWO_MODE_EXTRA)
@@ -126,10 +135,16 @@ class TestSpectrumCommand:
         eta = data["eta_onchip"]
         f = data["freq_hz"]
         main_peak = eta[np.abs(f - 3.48e9) < 40e6].max()
-        aux_peak = eta[np.abs(f - 3.165e9) < 40e6].max()
+        aux = np.abs(f - 3.165e9) < 40e6
+        aux_peak = eta[aux].max()
         trough = eta[np.abs(f - 3.32e9) < 40e6].max()
         assert main_peak > 20 * trough
         assert aux_peak > 20 * trough
+        # at the overtone peak the S columns come from the overtone's own
+        # operating point; the residual is the main mode's tail
+        i_aux = np.flatnonzero(aux)[np.argmax(eta[aux])]
+        s_ac_sq = data["s_ac_re"][i_aux] ** 2 + data["s_ac_im"][i_aux] ** 2
+        assert 0.99 <= s_ac_sq / eta[i_aux] <= 1.01
 
     def test_empty_grid_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, PAPER_CONFIG)
@@ -339,3 +354,16 @@ class TestBudgetCommand:
         cfg = write_config(tmp_path, text)
         code = main(["budget", "--config", str(cfg), "--out", str(tmp_path / "x.json")])
         assert code == 3
+
+
+class TestEntryPoint:
+    def test_python_m_runs_cli(self):
+        src = str(Path(moptrans.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-m", "moptrans.cli", "--version"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert res.returncode == 0
+        assert res.stdout.strip() == moptrans.__version__ == "0.1.0"
