@@ -28,8 +28,6 @@ from .model import (
     linear_to_db,
 )
 
-_FMT = "{:.12g}"
-
 
 def _metadata_lines(cfg: RunConfig | None, command: str, seed: int | None) -> list[str]:
     lines = [f"# moptrans {__version__}", f"# command: {command}"]
@@ -41,7 +39,8 @@ def _metadata_lines(cfg: RunConfig | None, command: str, seed: int | None) -> li
 
 
 def _write_csv(path, cfg, command, seed, header: list[str], rows) -> None:
-    text_rows = [",".join(_FMT.format(v) for v in row) for row in rows]
+    fmt = ",".join(["%.12g"] * len(header))
+    text_rows = [fmt % row for row in rows]
     body = _metadata_lines(cfg, command, seed) + [",".join(header)] + text_rows
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(body) + "\n")
@@ -118,8 +117,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 def cmd_power_sweep(cfg: RunConfig, args) -> int:
     start, stop, n = cfg.require("power_start_dbm", "power_stop_dbm", "power_points")
     n = int(n)
-    if n < 1 or stop < start:
-        raise ConfigError("power sweep needs stop >= start and at least 1 point")
+    if n < 1 or not -np.inf < start <= stop:
+        raise ConfigError("power sweep needs a finite start, stop >= start and at least 1 point")
     dbm = np.linspace(float(start), float(stop), n)
     rows = []
     for p in dbm:

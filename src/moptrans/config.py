@@ -133,6 +133,10 @@ def _validate_keys(raw: dict) -> None:
             raise ConfigError(f"unknown config key {key!r}")
         if key not in _DIMENSIONLESS and not any(key.endswith(s) for s in _UNIT_SUFFIXES):
             raise ConfigError(f"key {key!r} lacks a unit suffix ({', '.join(_UNIT_SUFFIXES)})")
+        value = raw[key]
+        switched_off = value == -math.inf and key.endswith(("_dbm", "_db"))  # e.g. pump off
+        if isinstance(value, float) and not (math.isfinite(value) or switched_off):
+            raise ConfigError(f"key {key!r} must be finite (-inf is allowed on _dbm/_db keys only), got {value!r}")
     for key, (typ, required) in _SCHEMA.items():
         if required and key not in raw:
             raise ConfigError(f"missing required config key {key!r}")

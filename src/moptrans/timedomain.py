@@ -9,6 +9,14 @@ far-detuned spectator supermode is kept, with its drive phase rotating at
 the supermode splitting, so optical-port responses include the spectator
 contribution present in the closed forms.
 
+Stepping: the equations are linear, so one classical RK4 step is the
+affine map y_{k+1} = M_k y_k + u_k, whose coefficients come from the
+coupling and drive samples alone.  One stepper builds them in numpy for
+blocks of _BLOCK steps (bounding the temporaries) and carries the state
+across blocks: the decoupled scalar mode (the spectator supermode, or
+the pump ring-up of the pulsed path) runs through `lfilter`, and the
+coupled pair as one 2x2 complex update per step.
+
 Envelope frames:
   a_minus, a_plus  relative to their own supermode resonances,
   b                relative to the acoustic resonance,
@@ -25,7 +33,6 @@ Input-output synthesis:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +47,7 @@ from .model import TWO_PI, Configuration, DeviceParams, PumpConfig
 
 _OVERFLOW = 1e12
 _CHECK_EVERY = 256
+_BLOCK = 16 * _CHECK_EVERY  # steps per block: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -75,21 +83,20 @@ class PulseSequence:
         if self.shape is EnvelopeShape.RAISED_COSINE and not 0.0 < self.edge_time <= self.tau_on / 2.0:
             raise ValueError("raised-cosine edges need 0 < edge_time <= tau_on/2")
 
-    def envelope(self, t: float, t_start: float = 0.0) -> float:
+    def envelope(self, t, t_start: float = 0.0):
         """Dimensionless pump envelope in [0, 1] for the pulse beginning at
         t_start (single pulse; the repetition period is handled by the
-        caller's time window)."""
-        u = t - t_start
-        if u < 0.0 or u > self.tau_on:
-            return 0.0
-        if self.shape is EnvelopeShape.RECT:
-            return 1.0
-        e = self.edge_time
-        if u < e:
-            return 0.5 * (1.0 - math.cos(math.pi * u / e))
-        if u > self.tau_on - e:
-            return 0.5 * (1.0 - math.cos(math.pi * (self.tau_on - u) / e))
-        return 1.0
+        caller's time window).  t is a scalar (returns a float) or an
+        array."""
+        u = np.asarray(t, dtype=float) - t_start
+        env = np.ones_like(u)
+        if self.shape is EnvelopeShape.RAISED_COSINE:
+            e = self.edge_time
+            rise = 0.5 * (1.0 - np.cos(np.pi * u / e))
+            fall = 0.5 * (1.0 - np.cos(np.pi * (self.tau_on - u) / e))
+            env = np.where(u < e, rise, np.where(u > self.tau_on - e, fall, env))
+        env = np.where((u < 0.0) | (u > self.tau_on), 0.0, env)
+        return env if env.ndim else float(env)
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,96 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def _zero_drive(t: float) -> complex:
-    return 0.0j
+def _rk4_affine(a, f, y, h):
+    """One classical RK4 step of y' = A y + f, vectorised over a block of
+    steps.  a[s] (a list of rows) and f[s] are the matrix and the forcing at
+    stage s, i.e. at t, t + h/2, t + h/2 and t + h; entries are scalars or
+    arrays over the steps.  The step is affine in y: stepping the unit
+    vectors without forcing gives the columns of M, and stepping zero gives
+    u, in y_next = M y + u."""
+
+    def rhs(s, z):
+        return [sum(aij * zj for aij, zj in zip(row, z)) + fi for row, fi in zip(a[s], f[s])]
+
+    half = 0.5 * h
+    sixth = h / 6.0
+    k1 = rhs(0, y)
+    k2 = rhs(1, [yi + half * ki for yi, ki in zip(y, k1)])
+    k3 = rhs(2, [yi + half * ki for yi, ki in zip(y, k2)])
+    k4 = rhs(3, [yi + h * ki for yi, ki in zip(y, k3)])
+    return [yi + sixth * (p + 2.0 * q + 2.0 * r + w) for yi, p, q, r, w in zip(y, k1, k2, k3, k4)]
+
+
+def _stepper(t0, dt, n, lam, pair, inputs, state, record_every=1):
+    """Fixed-step classical RK4 of a scalar mode x and a coupled pair y,
+
+        x' = lam x + f_x(t),
+        y' = [[d0, c0 e(t)], [c1 e(t), d1]] y + (f_0(t), f_1(t)),
+
+    with pair = (d0, d1, c0, c1) and state = (x, y_0, y_1) at t0.  Both are
+    run as affine recurrences over blocks of _BLOCK steps: x_{k+1} = m x_k
+    + u_k through `lfilter`, y_{k+1} = M_k y_k + u_k as a 2x2 complex update
+    per step.  inputs(ts) returns (f_x, e, f_0, f_1) at the block's step
+    times followed by its midpoints, each a scalar or an array over ts; the
+    stage at t_k + h uses the sample at t_{k+1}.  e = None makes the
+    coupling follow x's own RK4 stage values (a pump ring-up).
+    |x| + |y_0| + |y_1| is tested for divergence every _CHECK_EVERY steps,
+    at the end of each block.  Returns (t, x, y_0, y_1) every record_every
+    steps, initial state included."""
+    d0, d1, c0, c1 = pair
+    x, y0, y1 = state
+    half = 0.5 * dt
+    m = _rk4_affine([[[lam]]] * 4, [[0.0]] * 4, [1.0], dt)[0]
+    n_rec = n // record_every + 1
+    t_rec = np.empty(n_rec)
+    rec = [np.empty(n_rec, dtype=complex) for _ in state]
+    t_rec[0], rec[0][0], rec[1][0], rec[2][0] = t0, x, y0, y1
+    j = 1
+    for k0 in range(0, n, _BLOCK):
+        nb = min(_BLOCK, n - k0)
+        t = t0 + np.arange(k0, k0 + nb + 1) * dt
+        ts = np.concatenate([t, t[:-1] + half])
+
+        def stages(v):
+            return (v,) * 4 if np.ndim(v) == 0 else (v[:nb], v[nb + 1:], v[nb + 1:], v[1:nb + 1])
+
+        fx, e, f0, f1 = (None if v is None else stages(v) for v in inputs(ts))
+        ux = _rk4_affine([[[lam]]] * 4, [[v] for v in fx], [0.0], dt)[0]
+        xs = lfilter([1.0], [1.0, -m], ux + np.zeros(nb, dtype=complex), zi=[m * x])[0]
+        if e is None:
+            x1 = np.concatenate([[x], xs[:-1]])
+            x2 = x1 + half * (lam * x1 + fx[0])
+            x3 = x1 + half * (lam * x2 + fx[1])
+            e = (x1, x2, x3, x1 + dt * (lam * x3 + fx[2]))
+        a = [[[d0, c0 * es], [c1 * es, d1]] for es in e]
+        no_force = [[0.0, 0.0]] * 4
+        col0 = _rk4_affine(a, no_force, [1.0, 0.0], dt)
+        col1 = _rk4_affine(a, no_force, [0.0, 1.0], dt)
+        u = _rk4_affine(a, list(zip(f0, f1)), [0.0, 0.0], dt)
+        coef = (col0[0], col1[0], col0[1], col1[1], u[0], u[1])
+        ys0, ys1 = [], []
+        for m00, m01, m10, m11, u0, u1 in zip(*(np.broadcast_to(v, (nb,)).tolist() for v in coef)):
+            y0, y1 = m00 * y0 + m01 * y1 + u0, m10 * y0 + m11 * y1 + u1
+            ys0.append(y0)
+            ys1.append(y1)
+        block = (xs, np.array(ys0), np.array(ys1))
+        check = np.arange(_CHECK_EVERY - 1, nb, _CHECK_EVERY)  # k0 is a multiple of _CHECK_EVERY
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = sum(np.abs(v[check]) for v in block)
+        bad = np.flatnonzero(~(mag <= _OVERFLOW))
+        if bad.size:
+            i = k0 + int(check[bad[0]])
+            raise InstabilityError(
+                f"trajectory diverged at t={t0 + (i + 1) * dt!r} (|state| ~ {float(mag[bad[0]])!r}); "
+                "operating point is above the parametric threshold"
+            )
+        keep = np.arange((-k0 - 1) % record_every, nb, record_every)
+        t_rec[j:j + keep.size] = t[keep + 1]
+        for r, v in zip(rec, block):
+            r[j:j + keep.size] = v[keep]
+        j += keep.size
+        x, y0, y1 = xs[-1], ys0[-1], ys1[-1]
+    return t_rec, *rec
 
 
 def integrate(
@@ -148,6 +243,11 @@ def integrate(
     """Fixed-step RK4 integration of the linearized equations of motion.
 
     Models zero sideband detuning: `op.sideband_detuning` is not read.
+    The spectator (a_- under anti-Stokes, a_+ under Stokes) is decoupled;
+    (a_+, b), or (a_-, conj b) under Stokes, is a complex-linear pair.  The
+    steps run as the affine recurrence y_{k+1} = M_k y_k + u_k in blocks of
+    _BLOCK steps; each drive and `g_envelope` is called once per step time
+    and once per midpoint.
 
     Parameters
     ----------
@@ -159,17 +259,16 @@ def integrate(
     dt : step [s]; validated against 50 samples per fastest rate, where the
         fastest rate includes the supermode splitting whenever an optical
         drive is present (its spectator phase rotates at the splitting).
-    g_envelope : optional dimensionless modulation of the effective
+    g_envelope : optional real dimensionless modulation of the effective
         couplings (pulsed pump gating).
     max_drive_freq : fastest frequency content of the drive envelopes [Hz],
         declared by the caller for step validation.
     """
-    opt = drives.get("optical", _zero_drive)
-    mw = drives.get("microwave", _zero_drive)
-    has_opt = drives.get("optical") is not None
+    opt = drives.get("optical")
+    mw = drives.get("microwave")
 
     fastest = max(op.kappa_minus, op.kappa_plus, op.kappa_m) / TWO_PI + max_drive_freq
-    if has_opt:
+    if opt is not None:
         fastest += op.splitting / TWO_PI
     if dt > 1.0 / (50.0 * fastest):
         raise ValueError(
@@ -178,7 +277,6 @@ def integrate(
 
     t0, t1 = t_span
     n_steps = int(math.ceil((t1 - t0) / dt))
-    env = g_envelope if g_envelope is not None else (lambda t: 1.0)
 
     km, kp, kb = 0.5 * op.kappa_minus, 0.5 * op.kappa_plus, 0.5 * op.kappa_m
     sm_, sp_, sb_ = (
@@ -186,64 +284,30 @@ def integrate(
         math.sqrt(op.kappa_ex_plus),
         math.sqrt(op.kappa_ex_m),
     )
-    split = op.splitting
     antistokes = op.configuration is Configuration.ANTI_STOKES
-    g_plus = op.g_plus
-    g_minus = op.g_minus
+    am, ap, b = (0.0j,) * 3 if initial is None else (initial.a_minus, initial.a_plus, initial.b)
 
-    if antistokes:
-        def rhs(t, am, ap, b):
-            a_in = opt(t)
-            g = g_plus * env(t)
-            d_am = -km * am + sm_ * a_in
-            d_ap = -kp * ap + 1j * g * b + sp_ * a_in * cmath.exp(1j * split * t)
-            d_b = -kb * b + 1j * g.conjugate() * ap + sb_ * mw(t)
-            return d_am, d_ap, d_b
-    else:
-        def rhs(t, am, ap, b):
-            a_in = opt(t)
-            g = g_minus * env(t)
-            d_am = -km * am + 1j * g * b.conjugate() + sm_ * a_in * cmath.exp(-1j * split * t)
-            d_ap = -kp * ap + sp_ * a_in
-            d_b = -kb * b + 1j * g * am.conjugate() + sb_ * mw(t)
-            return d_am, d_ap, d_b
+    def sample(fn, ts, dtype=complex):
+        return np.fromiter(map(fn, ts.tolist()), dtype, ts.size)
 
-    if initial is None:
-        am, ap, b = 0.0j, 0.0j, 0.0j
-    else:
-        am, ap, b = complex(initial.a_minus), complex(initial.a_plus), complex(initial.b)
+    def inputs(ts):
+        a_in = 0.0 if opt is None else sample(opt, ts)
+        c_in = 0.0 if mw is None else sample(mw, ts)
+        e = 1.0 if g_envelope is None else sample(g_envelope, ts, float)
+        if antistokes:
+            return sm_ * a_in, e, sp_ * a_in * np.exp(1j * op.splitting * ts), sb_ * c_in
+        return sp_ * a_in, e, sm_ * a_in * np.exp(-1j * op.splitting * ts), sb_ * np.conj(c_in)
 
-    n_rec = n_steps // record_every + 1
-    t_rec = np.empty(n_rec)
-    am_rec = np.empty(n_rec, dtype=complex)
-    ap_rec = np.empty(n_rec, dtype=complex)
-    b_rec = np.empty(n_rec, dtype=complex)
-    t = t0
-    j = 0
-    t_rec[0], am_rec[0], ap_rec[0], b_rec[0] = t, am, ap, b
-    j = 1
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for i in range(n_steps):
-        k1 = rhs(t, am, ap, b)
-        k2 = rhs(t + half, am + half * k1[0], ap + half * k1[1], b + half * k1[2])
-        k3 = rhs(t + half, am + half * k2[0], ap + half * k2[1], b + half * k2[2])
-        k4 = rhs(t + dt, am + dt * k3[0], ap + dt * k3[1], b + dt * k3[2])
-        am += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        ap += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        b += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        t = t0 + (i + 1) * dt
-        if (i + 1) % _CHECK_EVERY == 0:
-            mag = abs(am) + abs(ap) + abs(b)
-            if not math.isfinite(mag) or mag > _OVERFLOW:
-                raise InstabilityError(
-                    f"trajectory diverged at t={t!r} (|state| ~ {mag!r}); "
-                    "operating point is above the parametric threshold"
-                )
-        if (i + 1) % record_every == 0:
-            t_rec[j], am_rec[j], ap_rec[j], b_rec[j] = t, am, ap, b
-            j += 1
-    return Trajectory(t=t_rec[:j], a_minus=am_rec[:j], a_plus=ap_rec[:j], b=b_rec[:j])
+    if antistokes:  # spectator a_-, pair (a_+, b)
+        g = op.g_plus
+        t, am, ap, b = _stepper(t0, dt, n_steps, -km, (-kp, -kb, 1j * g, 1j * g.conjugate()),
+                                inputs, (am, ap, b), record_every)
+    else:  # spectator a_+, pair (a_-, conj b)
+        g = op.g_minus
+        t, ap, am, b = _stepper(t0, dt, n_steps, -kp, (-km, -kb, 1j * g, -1j * g.conjugate()),
+                                inputs, (ap, am, complex(b).conjugate()), record_every)
+        b = b.conj()
+    return Trajectory(t=t, a_minus=am, a_plus=ap, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +380,6 @@ def pulsed_downconversion(
     t_start = 3.0 * lockin.tau_rc if pulse_start is None else pulse_start
     t_end = t_start + (duration if duration is not None else min(pulse.tau_on, 1.0e-6) + 10.0 * lockin.tau_rc)
     n = int(math.ceil(t_end / dt))
-    t = np.arange(n + 1) * dt
 
     # intracavity pump ring-up -> g_-(t); a_plus is pumped under Stokes
     kp = 0.5 * op.kappa_plus
@@ -326,40 +389,14 @@ def pulsed_downconversion(
     g_peak = op.g_minus  # at full pump
     s_opt = math.sqrt(optical_input_flux)
 
-    def pump_env(time: float) -> float:
-        return pulse.envelope(time, t_start)
+    def inputs(ts):
+        return kp * pulse.envelope(ts, t_start), None, sm_ * s_opt, 0.0
 
-    # state: pump amplitude alpha_p (normalized to alpha_ss), a_-, b
-    a_p = 0.0
-    am = 0.0j
-    b = 0.0j
-    b_rec = np.empty(n + 1, dtype=complex)
-    b_rec[0] = b
-
-    def rhs(time, a_p_, am_, b_):
-        d_ap = -kp * a_p_ + kp * pump_env(time)  # normalized ring-up
-        g = g_peak * a_p_
-        d_am = -km * am_ + 1j * g * b_.conjugate() + sm_ * s_opt
-        d_b = -kb * b_ + 1j * g * am_.conjugate()
-        return d_ap, d_am, d_b
-
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    time = 0.0
-    for i in range(n):
-        k1 = rhs(time, a_p, am, b)
-        k2 = rhs(time + half, a_p + half * k1[0], am + half * k1[1], b + half * k1[2])
-        k3 = rhs(time + half, a_p + half * k2[0], am + half * k2[1], b + half * k2[2])
-        k4 = rhs(time + dt, a_p + dt * k3[0], am + dt * k3[1], b + dt * k3[2])
-        a_p += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        am += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        b += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        time = (i + 1) * dt
-        b_rec[i + 1] = b
-        if (i + 1) % _CHECK_EVERY == 0 and (not math.isfinite(abs(b)) or abs(b) > _OVERFLOW):
-            raise InstabilityError("pulsed trajectory diverged")
-
-    c_out_env = sb_out * b_rec  # no microwave input
+    # x: pump amplitude over its steady state, its RK4 stages scaling g_-;
+    # pair (a_-, conj b).  Keeping only t and conj b frees the rest early.
+    t, b_conj = _stepper(0.0, dt, n, -kp, (-km, -kb, 1j * g_peak, -1j * g_peak.conjugate()),
+                         inputs, (0.0, 0.0, 0.0))[::3]
+    c_out_env = sb_out * b_conj.conj()  # no microwave input
     waveform = np.real(c_out_env * np.exp(-1j * op.omega_m * t))
     amp, phase = lockin_demodulate(t, waveform, lockin)
     return t, amp, phase

@@ -108,6 +108,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, broken))
 
+    @pytest.mark.parametrize("line", ["g0_hz = nan", "coupling_j_hz = inf", "mode1_freq_hz = -inf",
+                                      "probes_db = inf", "pump_power_dbm = nan"])
+    def test_non_finite_values_rejected(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        text = "\n".join(line if l.startswith(key + " =") else l for l in PAPER_CONFIG.splitlines())
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_config(tmp_path, text))
+
+    def test_nan_coupling_budget_exits_1(self, tmp_path, capsys):
+        """g0_hz = nan used to give exit 0 and a budget full of NaN tokens."""
+        cfg = write_config(tmp_path, PAPER_CONFIG.replace("g0_hz = 42.0", "g0_hz = nan"))
+        out = tmp_path / "budget.json"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inf_splitting_spectrum_exits_1(self, tmp_path, capsys):
+        """coupling_j_hz = inf used to end in a raw ValueError traceback."""
+        cfg = write_config(tmp_path, PAPER_CONFIG.replace("coupling_j_hz = 1.74e9", "coupling_j_hz = inf"))
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCsvRows:
+    def test_row_text_matches_per_value_format(self, tmp_path):
+        """One printf string per row gives the text of one format call per value."""
+        from moptrans.cli import _write_csv
+
+        values = [0.0, -0.0, 1e-300, 1.23456789012345e300, float("nan"), float("inf"),
+                  float("-inf"), np.float64(2.0 / 3.0), np.float64(-1e-7), 7, -123456789012345]
+        rows = [tuple(values[i:i + 3]) for i in range(0, len(values) - 2)]
+        path = tmp_path / "rows.csv"
+        _write_csv(path, None, "test", None, ["a", "b", "c"], rows)
+        lines = path.read_text().splitlines()
+        assert lines[-len(rows):] == [",".join("{:.12g}".format(v) for v in row) for row in rows]
+
 
 class TestSpectrumCommand:
     def test_single_mode_peak(self, tmp_path):
@@ -173,6 +211,14 @@ class TestPowerSweepCommand:
         assert slope == pytest.approx(1.0, abs=0.01)
         eta_db = 10 * np.log10(data["eta_tot"][-1])
         assert abs(eta_db - (-48.0)) < 3.0
+
+    def test_minus_inf_start_is_config_error(self, tmp_path):
+        """-inf is a valid _dbm value (pump off) but not a sweep start: it used
+        to give exit 0 and NaN rows."""
+        text = PAPER_CONFIG.replace("power_start_dbm = 0.0", "power_start_dbm = -inf")
+        out = tmp_path / "power.csv"
+        assert main(["power-sweep", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_tiny_power_row_is_negligible(self, tmp_path):
         text = PAPER_CONFIG.replace("power_start_dbm = 0.0", "power_start_dbm = -200.0")
