@@ -1,11 +1,17 @@
 """Nonlinear least-squares recovery of device parameters from data.
 
-The nonlinear fitters share one damped least-squares backend (scipy's
-trust-region reflective solver with numerically differenced Jacobians,
-which is the bounded flavor of Levenberg-Marquardt damping): convergence
-at relative cost change < 1e-10 or gradient norm < 1e-8, evaluation cap
-500 per parameter.  Covariances come from the Gauss-Newton approximation
-sigma^2 (J^T J)^-1 with sigma^2 the reduced residual variance.
+One backend serves every fit, one fit function per CLI `fit` kind
+(doublet, s11, power, step).  The nonlinear fitters share one damped
+least-squares solver (scipy's trust-region reflective solver with
+numerically differenced Jacobians, which is the bounded flavor of
+Levenberg-Marquardt damping): convergence at relative cost change < 1e-10
+or gradient norm < 1e-8, evaluation cap 500 per parameter.  The backend
+raises ConvergenceError when the solver stops without converging, so every
+report it returns has converged.  Covariances come from the Gauss-Newton
+approximation sigma^2 (J^T J)^-1 with sigma^2 the reduced residual
+variance.  When J^T J is singular there is no such estimate: the report
+gives those variances as None (JSON null), never NaN, and carries a
+'singular-covariance' flag.
 
 The efficiency-vs-power fit is the closed-form exception: its model is
 linear in the one parameter, so it is solved directly, with the same
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -24,7 +30,7 @@ from scipy.signal import argrelmin
 
 from .errors import ConvergenceError
 from .hybridize import supermodes
-from .model import HBAR, TWO_PI, OpticalModeBare
+from .model import HBAR, OpticalModeBare
 
 _FTOL = 1e-10
 _GTOL = 1e-8
@@ -37,6 +43,7 @@ class FitReport:
 
     parameters/covariance_diag are name-keyed maps; units records the unit
     string per parameter; flags carries non-fatal data-quality notices.
+    A variance is None where the covariance estimate does not exist.
     """
 
     parameters: dict
@@ -49,21 +56,33 @@ class FitReport:
     seed: int | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "parameters": self.parameters,
-            "units": self.units,
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "covariance_diag": self.covariance_diag,
-            "flags": list(self.flags),
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _run_fit(residual_fn, x0, bounds):
-    """Shared backend; returns (values, variances, report fields)."""
+def _report(units: dict, values, variances, residual_norm, nfev, flags=()) -> FitReport:
+    """Every FitReport is made here.  `units` maps each parameter name to its
+    unit, in the order of `values` and `variances`; a non-finite variance
+    is reported as None under one 'singular-covariance' flag."""
+    names = tuple(units)
+    cov = {n: float(v) if math.isfinite(v) else None for n, v in zip(names, variances)}
+    missing = [n for n, v in cov.items() if v is None]
+    if missing:
+        flags = (*flags, "singular-covariance: J^T J is not invertible; no variance for "
+                 + ", ".join(missing))
+    return FitReport(
+        parameters=dict(zip(names, map(float, values))),
+        units=units,
+        residual_norm=residual_norm,
+        iterations=nfev,
+        converged=True,
+        covariance_diag=cov,
+        flags=tuple(flags),
+    )
+
+
+def _run_fit(residual_fn, x0, bounds, what: str):
+    """Shared backend; returns (values, variances, residual norm, nfev) and
+    raises ConvergenceError('<what> did not converge')."""
     import warnings
 
     with warnings.catch_warnings():
@@ -81,6 +100,8 @@ def _run_fit(residual_fn, x0, bounds):
             xtol=None,
             max_nfev=_MAX_NFEV * len(x0),
         )
+    if result.status <= 0:
+        raise ConvergenceError(f"{what} did not converge")
     m, n = result.fun.size, len(x0)
     if m > n:
         sigma2 = 2.0 * result.cost / (m - n)
@@ -91,14 +112,7 @@ def _run_fit(residual_fn, x0, bounds):
             variances = np.full(n, np.nan)
     else:
         variances = np.zeros(n)
-    converged = bool(result.status > 0)
-    return (
-        result.x,
-        variances,
-        float(np.linalg.norm(result.fun)),
-        int(result.nfev),
-        converged,
-    )
+    return result.x, variances, float(np.linalg.norm(result.fun)), int(result.nfev)
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +232,10 @@ def _fit_doublet_single(omega, trans) -> FitReport:
         kl, kr, kex, j, d, c = theta
         return doublet_transmission(omega, kl, kr, kex, j, d, c) - trans
 
-    x, variances, rnorm, nfev, converged = _run_fit(residuals, x0, (lower, upper))
-    if not converged:
-        raise ConvergenceError("doublet fit did not converge")
+    x, variances, rnorm, nfev = _run_fit(residuals, x0, (lower, upper), "doublet fit")
     x, variances = _canonical_ring_labels(x, variances)
-    names = ("kappa_l", "kappa_r", "kappa_ex", "J", "delta", "omega_center")
-    return FitReport(
-        parameters=dict(zip(names, map(float, x))),
-        units={n: "rad/s" for n in names},
-        residual_norm=rnorm,
-        iterations=nfev,
-        converged=converged,
-        covariance_diag=dict(zip(names, map(float, variances))),
-        flags=tuple(flags),
-    )
+    units = dict.fromkeys(("kappa_l", "kappa_r", "kappa_ex", "J", "delta", "omega_center"), "rad/s")
+    return _report(units, x, variances, rnorm, nfev, flags)
 
 
 def _canonical_ring_labels(x, variances):
@@ -286,22 +290,12 @@ def _fit_doublet_sweep(omega, stack, bias) -> FitReport:
             out[i * omega.size:(i + 1) * omega.size] = model - stack[i]
         return out
 
-    x, variances, rnorm, nfev, converged = _run_fit(residuals, x0, (lower, upper))
-    if not converged:
-        raise ConvergenceError("doublet sweep fit did not converge")
+    x, variances, rnorm, nfev = _run_fit(residuals, x0, (lower, upper), "doublet sweep fit")
     x, variances = _canonical_ring_labels(x, variances)
     names = ("kappa_l", "kappa_r", "kappa_ex", "J", "delta", "delta_slope", "omega_center")
-    units = {n: "rad/s" for n in names}
+    units = dict.fromkeys(names, "rad/s")
     units["delta_slope"] = "rad/s per bias unit"
-    return FitReport(
-        parameters=dict(zip(names, map(float, x))),
-        units=units,
-        residual_norm=rnorm,
-        iterations=nfev,
-        converged=converged,
-        covariance_diag=dict(zip(names, map(float, variances))),
-        flags=tuple(flags),
-    )
+    return _report(units, x, variances, rnorm, nfev, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +309,13 @@ def s11_model(omega, omega_m, kappa_m, kappa_ex_m):
     return -1.0 + kappa_ex_m * chi
 
 
-def fit_s11(omega, s11, magnitude_only: bool = False) -> FitReport:
+def fit_s11(omega, s11) -> FitReport:
     """Recover {omega_m, Q_m, eta_m} from complex reflection data around a
     single acoustic resonance.
 
-    Residuals stack real and imaginary parts; pass magnitude_only=True when
-    the phase is uncalibrated.  A dip shallower than the scatter of the
-    off-resonant baseline is flagged as indistinguishable from background.
+    Residuals stack real and imaginary parts.  A dip shallower than the
+    scatter of the off-resonant baseline is flagged as indistinguishable
+    from background.
     """
     omega = np.asarray(omega, dtype=float)
     s11 = np.asarray(s11)
@@ -358,50 +352,26 @@ def fit_s11(omega, s11, magnitude_only: bool = False) -> FitReport:
     lower = np.array([omega[0], 1e-6 * kappa0, 0.0])
     upper = np.array([omega[-1], 1e3 * kappa0, 1e3 * kappa0])
 
-    if magnitude_only:
-        def residuals(theta):
-            return np.abs(s11_model(omega, *theta)) - mag
-    else:
-        def residuals(theta):
-            diff = s11_model(omega, *theta) - s11
-            return np.concatenate([diff.real, diff.imag])
+    def residuals(theta):
+        diff = s11_model(omega, *theta) - s11
+        return np.concatenate([diff.real, diff.imag])
 
-    x, variances, rnorm, nfev, converged = _run_fit(residuals, x0, (lower, upper))
-    if not converged:
-        raise ConvergenceError("S11 fit did not converge")
+    x, variances, rnorm, nfev = _run_fit(residuals, x0, (lower, upper), "S11 fit")
     omega_m, kappa_m, kappa_ex_m = map(float, x)
     var_om, var_km, var_kexm = map(float, variances)
     q_m = omega_m / kappa_m
     eta_m = kappa_ex_m / kappa_m
-    params = {
-        "omega_m": omega_m,
-        "kappa_m": kappa_m,
-        "kappa_ex_m": kappa_ex_m,
-        "Q_m": q_m,
-        "eta_m": eta_m,
-    }
-    units = {
-        "omega_m": "rad/s", "kappa_m": "rad/s", "kappa_ex_m": "rad/s",
-        "Q_m": "1", "eta_m": "1",
-    }
     # first-order propagation for the derived quantities
     var_q = q_m ** 2 * (var_om / omega_m ** 2 + var_km / kappa_m ** 2)
     var_eta = eta_m ** 2 * (
         (var_kexm / kappa_ex_m ** 2 if kappa_ex_m > 0 else 0.0) + var_km / kappa_m ** 2
     )
-    cov = {
-        "omega_m": var_om, "kappa_m": var_km, "kappa_ex_m": var_kexm,
-        "Q_m": var_q, "eta_m": var_eta,
+    units = {
+        "omega_m": "rad/s", "kappa_m": "rad/s", "kappa_ex_m": "rad/s",
+        "Q_m": "1", "eta_m": "1",
     }
-    return FitReport(
-        parameters=params,
-        units=units,
-        residual_norm=rnorm,
-        iterations=nfev,
-        converged=converged,
-        covariance_diag=cov,
-        flags=tuple(flags),
-    )
+    return _report(units, (omega_m, kappa_m, kappa_ex_m, q_m, eta_m),
+                   (var_om, var_km, var_kexm, var_q, var_eta), rnorm, nfev, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +456,9 @@ def fit_efficiency_power(power_in, eta_tot, fixed: dict) -> FitReport:
     g0 = 2.0 * math.sqrt(fixed["kappa_o"] * fixed["kappa_m"] * c0 / 4.0)
     var_g0 = (g0 / (2.0 * c0)) ** 2 * var_c0 if c0 > 0 else 0.0
 
-    params = {"C0": float(c0), "g0": float(g0), "slope": slope}
     units = {"C0": "1", "g0": "rad/s", "slope": "1/W"}
-    cov = {"C0": float(var_c0), "g0": float(var_g0), "slope": float(var_slope)}
-    return FitReport(
-        parameters=params,
-        units=units,
-        residual_norm=rnorm,
-        iterations=1,
-        converged=True,
-        covariance_diag=cov,
-        flags=tuple(flags),
-    )
+    # closed form: one evaluation, reported as iterations = 1
+    return _report(units, (c0, g0, slope), (var_c0, var_g0, var_slope), rnorm, 1, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -548,66 +509,6 @@ def fit_rc_step(t, envelope) -> FitReport:
     def residuals(theta):
         return rc_step_model(t, *theta) - env
 
-    x, variances, rnorm, nfev, converged = _run_fit(residuals, x0, (lower, upper))
-    if not converged:
-        raise ConvergenceError("RC step fit did not converge")
-    names = ("amplitude", "tau_rc", "t0")
+    x, variances, rnorm, nfev = _run_fit(residuals, x0, (lower, upper), "RC step fit")
     units = {"amplitude": "signal", "tau_rc": "s", "t0": "s"}
-    return FitReport(
-        parameters=dict(zip(names, map(float, x))),
-        units=units,
-        residual_norm=rnorm,
-        iterations=nfev,
-        converged=converged,
-        covariance_diag=dict(zip(names, map(float, variances))),
-    )
-
-
-# ---------------------------------------------------------------------------
-# photothermal three-plateau model
-# ---------------------------------------------------------------------------
-
-def fit_photothermal(f, response_mag) -> FitReport:
-    """Recover the three-plateau model {a_kerr, a_local, f_local, a_global,
-    f_global} from |H(f)| data (f in Hz, logarithmically spread)."""
-    from .timedomain import PhotothermalModel, photothermal_response
-
-    f = np.asarray(f, dtype=float)
-    mag = np.asarray(response_mag, dtype=float)
-    if f.shape != mag.shape or f.size < 10:
-        raise ValueError("need matching arrays with >= 10 points")
-    order = np.argsort(f)
-    f, mag = f[order], mag[order]
-
-    a_kerr0 = float(np.mean(mag[-3:]))
-    dc0 = float(np.mean(mag[:3]))
-    a_local0 = max(0.3 * (dc0 - a_kerr0), 1e-6 * dc0)
-    a_global0 = max(dc0 - a_kerr0 - a_local0, 1e-6 * dc0)
-    f_local0 = float(np.sqrt(f[0] * f[-1]))
-    f_global0 = f_local0 / 30.0
-
-    x0 = np.array([a_kerr0, a_local0, f_local0, a_global0, f_global0])
-    lower = np.array([0.0, 0.0, f[0] / 10.0, 0.0, f[0] / 100.0])
-    upper = np.array([10 * dc0, 10 * dc0, f[-1] * 10.0, 10 * dc0, f[-1]])
-
-    def residuals(theta):
-        a_k, a_l, f_l, a_g, f_g = theta
-        if f_g >= f_l:  # keep the corners ordered
-            f_g = 0.999 * f_l
-        model = PhotothermalModel(a_k, a_l, f_l, a_g, f_g)
-        return np.abs(photothermal_response(f, model)) - mag
-
-    x, variances, rnorm, nfev, converged = _run_fit(residuals, x0, (lower, upper))
-    if not converged:
-        raise ConvergenceError("photothermal fit did not converge")
-    names = ("a_kerr", "a_local", "f_local", "a_global", "f_global")
-    units = {"a_kerr": "signal", "a_local": "signal", "f_local": "Hz",
-             "a_global": "signal", "f_global": "Hz"}
-    return FitReport(
-        parameters=dict(zip(names, map(float, x))),
-        units=units,
-        residual_norm=rnorm,
-        iterations=nfev,
-        converged=converged,
-        covariance_diag=dict(zip(names, map(float, variances))),
-    )
+    return _report(units, x, variances, rnorm, nfev)

@@ -10,6 +10,7 @@ error, 2 numerical non-convergence, 3 physical instability.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -60,6 +61,15 @@ def _parse_grid_flag(text: str) -> tuple[float, float, int]:
     except ValueError as exc:
         raise ConfigError(f"bad --grid value: {exc}") from exc
     return start, stop, n
+
+
+def _require_zero_pump_detuning(cfg: RunConfig, verb: str) -> None:
+    """Refuse a detuned pump in a verb that models the resonant pump only."""
+    if cfg.pump_detuning != 0.0:
+        raise ConfigError(
+            f"{verb} does not model pump detuning: pump_detuning_hz must be 0 "
+            "(only spectrum models pump detuning)"
+        )
 
 
 def _grid_from(cfg: RunConfig, args) -> np.ndarray:
@@ -115,6 +125,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def cmd_power_sweep(cfg: RunConfig, args) -> int:
+    _require_zero_pump_detuning(cfg, "power-sweep")
     start, stop, n = cfg.require("power_start_dbm", "power_stop_dbm", "power_points")
     n = int(n)
     if n < 1 or not -np.inf < start <= stop:
@@ -136,6 +147,7 @@ def cmd_power_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_pulse(cfg: RunConfig, args) -> int:
+    _require_zero_pump_detuning(cfg, "pulse")
     on_s, rep_hz, tau_s = cfg.require("pulse_on_s", "pulse_rep_hz", "lockin_tau_s")
     try:
         pulse = timedomain.PulseSequence(
@@ -190,16 +202,31 @@ def _read_csv_columns(path, n_cols: int) -> list[np.ndarray]:
     return cols
 
 
-def cmd_fit(cfg: RunConfig, args) -> int:
-    kind = args.kind
+def cmd_fit(cfg: RunConfig | None, args) -> int:
+    """Fit one data file; only the power fit reads the device config."""
+    try:
+        report = _fit(cfg, args.kind, args.data)
+        if args.seed is not None:
+            report = dataclasses.replace(report, seed=args.seed)
+        text = report.to_json()  # ValueError on a non-finite number
+    except ValueError as exc:
+        raise ConfigError(f"fit {args.kind}: {exc}") from exc
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return 0
+
+
+def _fit(cfg: RunConfig | None, kind: str, data) -> calibrate.FitReport:
     if kind == "doublet":
-        freq, trans = _read_csv_columns(args.data, 2)
-        report = calibrate.fit_doublet(TWO_PI * freq, trans)
-    elif kind == "s11":
-        freq, re_part, im_part = _read_csv_columns(args.data, 3)
-        report = calibrate.fit_s11(TWO_PI * freq, re_part + 1j * im_part)
-    elif kind == "power":
-        dbm, eta = _read_csv_columns(args.data, 2)
+        freq, trans = _read_csv_columns(data, 2)
+        return calibrate.fit_doublet(TWO_PI * freq, trans)
+    if kind == "s11":
+        freq, re_part, im_part = _read_csv_columns(data, 3)
+        return calibrate.fit_s11(TWO_PI * freq, re_part + 1j * im_part)
+    if kind == "power":
+        if cfg is None:
+            raise ConfigError("fit power needs --config: the device config fixes the losses and rates")
+        dbm, eta = _read_csv_columns(data, 2)
         device, pump = cfg.device, cfg.pump
         op = operating_point(device, pump)
         fixed = {
@@ -212,25 +239,15 @@ def cmd_fit(cfg: RunConfig, args) -> int:
             "omega_l": pump.omega_l_effective,
         }
         watts = np.array([dbm_to_watts(float(p)) for p in dbm])
-        report = calibrate.fit_efficiency_power(watts, eta, fixed)
-    elif kind == "step":
-        t, env = _read_csv_columns(args.data, 2)
-        report = calibrate.fit_rc_step(t, env)
-    else:
-        raise ConfigError(f"unknown fit kind {kind!r}")
-    if args.seed is not None:
-        report = calibrate.FitReport(
-            parameters=report.parameters, units=report.units,
-            residual_norm=report.residual_norm, iterations=report.iterations,
-            converged=report.converged, covariance_diag=report.covariance_diag,
-            flags=report.flags, seed=args.seed,
-        )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
-    return 0
+        return calibrate.fit_efficiency_power(watts, eta, fixed)
+    if kind == "step":
+        t, env = _read_csv_columns(data, 2)
+        return calibrate.fit_rc_step(t, env)
+    raise ConfigError(f"unknown fit kind {kind!r}")
 
 
 def cmd_budget(cfg: RunConfig, args) -> int:
+    _require_zero_pump_detuning(cfg, "budget")
     device, pump = cfg.device, cfg.pump
     if pump.power_in == 0.0:
         budget_payload = {
@@ -307,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_data=False):
-        p.add_argument("--config", required=True, help="device/run config file")
+        # fit reads its inputs from --data; of its kinds only power reads the config
+        p.add_argument("--config", required=not needs_data, help="device/run config file")
         p.add_argument("--out", required=True, help="output CSV/JSON path")
         p.add_argument("--grid", default=None, help="start,stop,n frequency grid [Hz]")
         p.add_argument("--seed", type=int, default=None, help="seed recorded in outputs")
@@ -335,7 +353,7 @@ def main(argv=None) -> int:
         "budget": cmd_budget,
     }
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config) if args.config is not None else None
         return handlers[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

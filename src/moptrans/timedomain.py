@@ -400,38 +400,3 @@ def pulsed_downconversion(
     waveform = np.real(c_out_env * np.exp(-1j * op.omega_m * t))
     amp, phase = lockin_demodulate(t, waveform, lockin)
     return t, amp, phase
-
-
-# ---------------------------------------------------------------------------
-# photothermal response model
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhotothermalModel:
-    """Three-plateau cross-phase-modulation response: an instantaneous Kerr
-    term plus two single-pole photothermal processes with corner
-    frequencies f_local > f_global [Hz]."""
-
-    a_kerr: float
-    a_local: float
-    f_local: float
-    a_global: float
-    f_global: float
-
-    def __post_init__(self):
-        if self.f_local <= 0.0 or self.f_global <= 0.0:
-            raise ValueError("corner frequencies must be positive")
-        if self.f_global >= self.f_local:
-            raise ValueError("need f_global < f_local")
-
-
-def photothermal_response(f, model: PhotothermalModel):
-    """H(f) = a_kerr + a_local/(1 + i f/f_local) + a_global/(1 + i f/f_global)
-    for modulation frequency f [Hz] (scalar or array)."""
-    f = np.asarray(f, dtype=float)
-    h = (
-        model.a_kerr
-        + model.a_local / (1.0 + 1j * f / model.f_local)
-        + model.a_global / (1.0 + 1j * f / model.f_global)
-    )
-    return h if h.ndim else complex(h)

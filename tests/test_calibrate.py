@@ -205,11 +205,6 @@ class TestS11:
             self.TRUTH["omega_m"], rel=1e-4
         )
 
-    def test_magnitude_only_mode(self, rng):
-        omega, s11 = self.synth(noise=0.005, rng=rng)
-        report = fit_s11(omega, np.abs(s11) + 0.0j, magnitude_only=True)
-        assert report.parameters["eta_m"] == pytest.approx(0.11, rel=0.05)
-
     def test_critical_coupling_dip_reaches_zero(self):
         km = TWO_PI * 13e6
         om = TWO_PI * 3.48e9

@@ -15,6 +15,7 @@ from moptrans.errors import ConfigError
 from moptrans.model import TWO_PI
 
 from conftest import OMEGA_1550
+from test_calibrate import DOUBLET_TRUTH
 
 PAPER_CONFIG = """
 left_freq_hz = 193414489032258.06
@@ -57,6 +58,34 @@ def write_config(tmp_path, text, name="dev.toml"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = str(Path(moptrans.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "moptrans.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def check_pump_detuning(tmp_path, capsys, verb, name, extra=""):
+    """A nonzero pump_detuning_hz is a config error in `verb`; 0.0 gives the
+    output of a config without the key (apart from the config hash)."""
+    cfg = write_config(tmp_path, PAPER_CONFIG + extra + "pump_detuning_hz = 7.0e6\n")
+    out = tmp_path / name
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "pump_detuning_hz" in err and "spectrum" in err
+    assert not out.exists()
+    texts = []
+    for line in ("pump_detuning_hz = 0.0\n", ""):
+        cfg = write_config(tmp_path, PAPER_CONFIG + extra + line)
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+        texts.append(out.read_text().replace(load_config(cfg).sha256, "SHA"))
+    assert texts[0] == texts[1]
 
 
 def read_csv(path):
@@ -220,6 +249,9 @@ class TestPowerSweepCommand:
         assert main(["power-sweep", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_pump_detuning_rejected(self, tmp_path, capsys):
+        check_pump_detuning(tmp_path, capsys, "power-sweep", "power.csv")
+
     def test_tiny_power_row_is_negligible(self, tmp_path):
         text = PAPER_CONFIG.replace("power_start_dbm = 0.0", "power_start_dbm = -200.0")
         cfg = write_config(tmp_path, text)
@@ -257,6 +289,9 @@ class TestPulseCommand:
         assert main(["pulse", "--config", str(cfg), "--out", str(out)]) == 0
         data = read_csv(out)
         assert np.max(data["amp"]) < 1e-12
+
+    def test_pump_detuning_rejected(self, tmp_path, capsys):
+        check_pump_detuning(tmp_path, capsys, "pulse", "pulse.csv", "sim_duration_s = 0.1e-6\n")
 
     def test_duty_cycle_violation(self, tmp_path):
         text = PAPER_CONFIG.replace("pulse_on_s = 1.0e-6", "pulse_on_s = 2.0e-5")
@@ -349,6 +384,67 @@ class TestFitCommand:
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
 
+    def test_singular_covariance_is_strict_json(self, tmp_path):
+        """A single noisy spectrum with a singular J^T J used to give exit 0
+        and NaN variances, which is not JSON."""
+        cfg = write_config(tmp_path, PAPER_CONFIG)
+        rng = np.random.default_rng(504)
+        omega = OMEGA_1550 + TWO_PI * np.linspace(-4.0e9, 4.0e9, 300)
+        trans = doublet_transmission(omega, *(DOUBLET_TRUTH[k] for k in (
+            "kappa_l", "kappa_r", "kappa_ex", "J", "delta", "omega_center")))
+        trans = trans + rng.normal(0.0, 0.02, size=trans.shape)
+        data = tmp_path / "doublet.csv"
+        np.savetxt(data, np.column_stack([omega / TWO_PI, trans]), delimiter=",",
+                   header="freq_hz,transmission", comments="")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "doublet", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert any(f.startswith("singular-covariance:") for f in report["flags"])
+        assert None in report["covariance_diag"].values()
+
+    @pytest.mark.parametrize("kind, header, rows", [
+        ("s11", "freq_hz,re,im", [[3.48e9 + k * 1e6, -1.0, 0.0] for k in range(5)]),
+        ("power", "power_dbm,eta_tot", [[10.0, 1e-6], [12.0, -1e-6]]),
+        ("power", "power_dbm,eta_tot", [[-400.0, 1e300], [-390.0, 1e300]]),  # C0 overflows
+    ])
+    def test_bad_fit_input_is_config_error(self, tmp_path, kind, header, rows):
+        """Input errors raised by the fit functions reach the user as config
+        errors (exit 1), not as tracebacks."""
+        cfg = write_config(tmp_path, PAPER_CONFIG)
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.array(rows), delimiter=",", header=header, comments="")
+        res = run_cli("fit", kind, "--config", cfg, "--data", data, "--out", tmp_path / "x.json")
+        assert res.returncode == 1
+        assert "config error" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "x.json").exists()
+
+    def test_config_optional_except_power(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PAPER_CONFIG)
+        km = TWO_PI * 3.48e9 / 284
+        omega = TWO_PI * 3.48e9 + np.linspace(-8 * km, 8 * km, 500)
+        s11 = s11_model(omega, TWO_PI * 3.48e9, km, 0.11 * km)
+        data = tmp_path / "s11.csv"
+        np.savetxt(data, np.column_stack([omega / TWO_PI, s11.real, s11.imag]),
+                   delimiter=",", header="freq_hz,re,im", comments="")
+        texts = []
+        for config in (["--config", str(cfg)], []):
+            out = tmp_path / "fit.json"
+            assert main(["fit", "s11", *config, "--data", str(data), "--out", str(out),
+                         "--seed", "3"]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        power = tmp_path / "power.csv"
+        np.savetxt(power, np.array([[10.0, 1e-6]]), delimiter=",",
+                   header="power_dbm,eta_tot", comments="")
+        assert main(["fit", "power", "--data", str(power), "--out", str(tmp_path / "p.json")]) == 1
+        assert "--config" in capsys.readouterr().err
+
 
 class TestBudgetCommand:
     def test_paper_numbers(self, tmp_path):
@@ -389,6 +485,9 @@ class TestBudgetCommand:
         assert report["efficiency"]["eta_tot"] == pytest.approx(
             report["efficiency"]["eta_oc"], rel=1e-12
         )
+
+    def test_pump_detuning_rejected(self, tmp_path, capsys):
+        check_pump_detuning(tmp_path, capsys, "budget", "budget.json")
 
     def test_missing_config_file(self, tmp_path):
         assert main(["budget", "--config", str(tmp_path / "nope.toml"),

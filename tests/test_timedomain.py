@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from moptrans.calibrate import fit_photothermal, fit_rc_step
+from moptrans.calibrate import fit_rc_step
 from moptrans.errors import InstabilityError
 from moptrans.hybridize import OperatingPoint, operating_point
 from moptrans.model import TWO_PI, Configuration, DeviceParams, PumpConfig
@@ -14,10 +14,8 @@ from moptrans.response import transfer_from_rates
 from moptrans.timedomain import (
     EnvelopeShape,
     LockInConfig,
-    PhotothermalModel,
     PulseSequence,
     lockin_demodulate,
-    photothermal_response,
     pulsed_downconversion,
     integrate,
     StateVector,
@@ -614,27 +612,3 @@ class TestPulsed:
             pump_power=0.05, duration=0.3e-6,
         )
         assert np.max(amp) < 1e-12
-
-
-class TestPhotothermal:
-    def test_plateaus(self):
-        model = PhotothermalModel(a_kerr=1.0, a_local=3.0, f_local=100e3,
-                                  a_global=5.0, f_global=1e3)
-        assert abs(photothermal_response(1e9, model)) == pytest.approx(1.0, rel=1e-3)
-        assert abs(photothermal_response(1e-2, model)) == pytest.approx(9.0, rel=1e-3)
-        mid = abs(photothermal_response(math.sqrt(100e3 * 1e3) * 0.3, model))
-        assert 1.0 < mid < 9.0
-
-    def test_corner_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            PhotothermalModel(1.0, 1.0, 1e3, 1.0, 100e3)
-
-    def test_fit_round_trip(self):
-        model = PhotothermalModel(a_kerr=0.8, a_local=2.5, f_local=120e3,
-                                  a_global=4.0, f_global=1.3e3)
-        f = np.logspace(1.0, 7.0, 240)
-        mag = np.abs(photothermal_response(f, model))
-        report = fit_photothermal(f, mag)
-        assert report.parameters["f_local"] == pytest.approx(120e3, rel=0.03)
-        assert report.parameters["f_global"] == pytest.approx(1.3e3, rel=0.03)
-        assert report.parameters["a_kerr"] == pytest.approx(0.8, rel=0.03)
