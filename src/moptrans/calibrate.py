@@ -5,8 +5,10 @@ One backend serves every fit, one fit function per CLI `fit` kind
 least-squares solver (scipy's trust-region reflective solver with
 numerically differenced Jacobians, which is the bounded flavor of
 Levenberg-Marquardt damping): convergence at relative cost change < 1e-10
-or gradient norm < 1e-8, evaluation cap 500 per parameter.  The backend
-raises ConvergenceError when the solver stops without converging, so every
+or gradient norm < 1e-8, evaluation cap 500 per parameter.  Scipy is
+imported on the first fit, so the verbs that never fit do not load it;
+nothing else in the package uses it.  The backend raises
+ConvergenceError when the solver stops without converging, so every
 report it returns has converged.  Covariances come from the Gauss-Newton
 approximation sigma^2 (J^T J)^-1 with sigma^2 the reduced residual
 variance.  When J^T J is singular there is no such estimate: the report
@@ -25,8 +27,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import argrelmin
 
 from .errors import ConvergenceError
 from .hybridize import supermodes
@@ -85,6 +85,8 @@ def _run_fit(residual_fn, x0, bounds, what: str):
     raises ConvergenceError('<what> did not converge')."""
     import warnings
 
+    from scipy.optimize import least_squares
+
     with warnings.catch_warnings():
         # scipy's TR subproblem divides by a zero boundary step when part
         # of the Jacobian vanishes (e.g. samples before a step edge)
@@ -137,6 +139,20 @@ def doublet_transmission(omega, kappa_l, kappa_r, kappa_ex, coupling_j, delta, o
     return np.abs(s21) ** 2
 
 
+def _local_minima(y, order):
+    """Indices i with y[i] < y[j] for every other j within `order` of i;
+    the first and last points never qualify (scipy.signal.argrelmin with
+    mode='clip')."""
+    keep = np.zeros(y.size, dtype=bool)
+    keep[1:-1] = True
+    for s in range(1, min(order, y.size - 1) + 1):
+        keep[:-s] &= y[:-s] < y[s:]
+        keep[s:] &= y[s:] < y[:-s]
+        if not keep.any():
+            break
+    return np.flatnonzero(keep)
+
+
 def _dip_candidates(omega, trans):
     """Indices of the two deepest, well-separated local minima (lightly
     smoothed against point noise); one index if the spectrum has a single
@@ -145,7 +161,7 @@ def _dip_candidates(omega, trans):
     kernel = np.ones(width) / width
     smooth = np.convolve(trans, kernel, mode="same")
     order = max(1, len(trans) // 50)
-    idx = argrelmin(smooth, order=order)[0]
+    idx = _local_minima(smooth, order)
     idx = sorted(idx, key=lambda i: smooth[i])
     if not idx:
         return []

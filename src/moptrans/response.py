@@ -27,6 +27,11 @@ under a resonant pump.
 
 The on-chip photon-number conversion efficiency is |S_ac|^2 = |S_ca|^2 for
 either configuration.
+
+Efficiency spectra are evaluated in blocks of _BLOCK grid points into one
+preallocated result, so their complex temporaries stay small (64 KB)
+whatever the grid length.  Every operation is elementwise, so the result
+does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .hybridize import OperatingPoint, operating_point, supermodes
 from .model import HBAR, Configuration, DeviceParams, PumpConfig
 
 PORTS = ("optical", "microwave")
+_BLOCK = 4096  # grid points per block of an efficiency spectrum
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,9 @@ class Spectrum:
         object.__setattr__(self, "values", values)
         if omega.ndim != 1 or omega.size < 2:
             raise ValueError("frequency grid must be a 1-D array with >= 2 points")
-        if np.any(np.diff(omega) <= 0.0):
+        if not np.all(np.isfinite(omega)):
+            raise ValueError("frequency grid must be finite")
+        if not np.all(omega[1:] > omega[:-1]):
             raise ValueError("frequency grid must be strictly ascending")
         if not np.all(np.isfinite(values.view(float) if np.iscomplexobj(values) else values)):
             raise ValueError("spectrum values must be finite")
@@ -193,11 +201,24 @@ def transfer(params: DeviceParams, pump: PumpConfig, from_port: str, to_port: st
     return transfer_from_rates(operating_point(params, pump), from_port, to_port, omega)
 
 
+def _summed_eta(terms, omega):
+    """Sum over `(op, shift)` terms of |S_cross|^2 at offsets `omega - shift`,
+    evaluated in blocks of _BLOCK points into one preallocated result."""
+    omega = np.asarray(omega, dtype=float)
+    flat = omega.ravel()
+    eta = np.zeros(flat.size)
+    for k in range(0, flat.size, _BLOCK):
+        block = flat[k:k + _BLOCK]
+        for op, shift in terms:
+            s = transfer_from_rates(op, "microwave", "optical", block - shift)
+            eta[k:k + _BLOCK] += np.abs(s) ** 2
+    return eta.reshape(omega.shape)
+
+
 def eta_spectrum_from_rates(op: OperatingPoint, omega):
     """On-chip photon-number conversion efficiency |S_cross|^2 at offsets
     `omega`; identical for up- and down-conversion."""
-    s = transfer_from_rates(op, "microwave", "optical", omega)
-    return np.abs(s) ** 2
+    return _summed_eta([(op, 0.0)], omega)
 
 
 def onchip_efficiency_spectrum(
@@ -296,12 +317,8 @@ def multimode_spectrum(
 
     grid = np.asarray(omega_grid, dtype=float)
     ref = params.transduction_mode.omega_m
-    eta = sum(
-        eta_spectrum_from_rates(
-            operating_point(params, pump, m, pump_detuning), grid - (m.omega_m - ref)
-        )
-        for m in modes
-    )
+    terms = [(operating_point(params, pump, m, pump_detuning), m.omega_m - ref) for m in modes]
+    eta = _summed_eta(terms, grid)
     return Spectrum(grid, eta, ("eta_onchip",))
 
 

@@ -14,8 +14,9 @@ affine map y_{k+1} = M_k y_k + u_k, whose coefficients come from the
 coupling and drive samples alone.  One stepper builds them in numpy for
 blocks of _BLOCK steps (bounding the temporaries) and carries the state
 across blocks: the decoupled scalar mode (the spectator supermode, or
-the pump ring-up of the pulsed path) runs through `lfilter`, and the
-coupled pair as one 2x2 complex update per step.
+the pump ring-up of the pulsed path) runs as a first-order recurrence
+with a constant factor (`_recur`), and the coupled pair as one 2x2
+complex update per step.
 
 Envelope frames:
   a_minus, a_plus  relative to their own supermode resonances,
@@ -39,7 +40,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InstabilityError
 from .hybridize import OperatingPoint, operating_point
@@ -48,6 +49,7 @@ from .model import TWO_PI, Configuration, DeviceParams, PumpConfig
 _OVERFLOW = 1e12
 _CHECK_EVERY = 256
 _BLOCK = 16 * _CHECK_EVERY  # steps per block: bounds the temporaries
+_CHUNK = 64  # steps per chunk of `_recur`
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,6 @@ class Trajectory:
     a_plus: np.ndarray
     b: np.ndarray
 
-    def state(self, i: int) -> StateVector:
-        return StateVector(complex(self.a_minus[i]), complex(self.a_plus[i]), complex(self.b[i]))
-
     def export_csv(self, path) -> None:
         header = "t_seconds,a_minus_re,a_minus_im,a_plus_re,a_plus_im,b_re,b_im"
         data = np.column_stack(
@@ -135,6 +134,31 @@ class Trajectory:
             ]
         )
         np.savetxt(path, data, delimiter=",", header=header, comments="")
+
+
+def _recur(m, u, x=0.0):
+    """x_k = m x_{k-1} + u_k for k = 0 .. n-1 from x_{-1} = x, with a
+    constant m.  The steps run in chunks of _CHUNK: one matmul by the
+    Toeplitz matrix of the powers of m gives every chunk's response from a
+    zero state, and a carry over the chunks adds m^(k+1) times the state
+    entering each one (the affine scan of Blelloch, CMU-CS-90-190, 1990,
+    with a serial pass over the chunks)."""
+    u = np.asarray(u)
+    n = u.size
+    p = m ** np.arange(_CHUNK + 1)
+    # upper[j, i] = m^(i - j) for i >= j, else 0
+    upper = sliding_window_view(np.concatenate([np.zeros(_CHUNK - 1), p[:-1]]), _CHUNK)[::-1]
+    dtype = np.result_type(p, u, x)
+    chunks = np.zeros(-(-n // _CHUNK) * _CHUNK, dtype)
+    chunks[:n] = u
+    chunks = chunks.reshape(-1, _CHUNK) @ upper
+    carry = []
+    m_chunk = p[-1].item()
+    for last in chunks[:, -1].tolist():
+        carry.append(x)
+        x = m_chunk * x + last
+    chunks += np.array(carry, dtype)[:, None] * p[1:]
+    return chunks.ravel()[:n]
 
 
 def _rk4_affine(a, f, y, h):
@@ -165,7 +189,7 @@ def _stepper(t0, dt, n, lam, pair, inputs, state, record_every=1):
 
     with pair = (d0, d1, c0, c1) and state = (x, y_0, y_1) at t0.  Both are
     run as affine recurrences over blocks of _BLOCK steps: x_{k+1} = m x_k
-    + u_k through `lfilter`, y_{k+1} = M_k y_k + u_k as a 2x2 complex update
+    + u_k through `_recur`, y_{k+1} = M_k y_k + u_k as a 2x2 complex update
     per step.  inputs(ts) returns (f_x, e, f_0, f_1) at the block's step
     times followed by its midpoints, each a scalar or an array over ts; the
     stage at t_k + h uses the sample at t_{k+1}.  e = None makes the
@@ -192,7 +216,7 @@ def _stepper(t0, dt, n, lam, pair, inputs, state, record_every=1):
 
         fx, e, f0, f1 = (None if v is None else stages(v) for v in inputs(ts))
         ux = _rk4_affine([[[lam]]] * 4, [[v] for v in fx], [0.0], dt)[0]
-        xs = lfilter([1.0], [1.0, -m], ux + np.zeros(nb, dtype=complex), zi=[m * x])[0]
+        xs = _recur(m, ux + np.zeros(nb, dtype=complex), x)
         if e is None:
             x1 = np.concatenate([[x], xs[:-1]])
             x2 = x1 + half * (lam * x1 + fx[0])
@@ -335,13 +359,8 @@ def lockin_demodulate(
     i_mix = signal * 2.0 * np.cos(phase_ref)
     q_mix = signal * (-2.0) * np.sin(phase_ref)
     alpha = 1.0 - math.exp(-dt / config.tau_rc)
-    b_coef = [alpha]
-    a_coef = [1.0, -(1.0 - alpha)]
-    i_f = lfilter(b_coef, a_coef, i_mix)
-    q_f = lfilter(b_coef, a_coef, q_mix)
-    amp = np.hypot(i_f, q_f)
-    phase = np.arctan2(q_f, i_f)
-    return amp, phase
+    filtered = _recur(1.0 - alpha, alpha * (i_mix + 1j * q_mix))  # I + iQ
+    return np.abs(filtered), np.angle(filtered)
 
 
 # ---------------------------------------------------------------------------

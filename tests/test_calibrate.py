@@ -6,6 +6,7 @@ import pytest
 
 from moptrans.calibrate import (
     FitReport,
+    _local_minima,
     doublet_transmission,
     fit_doublet,
     fit_efficiency_power,
@@ -339,3 +340,47 @@ class TestBackend:
         report = FitReport({}, {}, 0.0, 0, True, {})
         with pytest.raises(AttributeError):
             report.converged = False
+
+
+class TestLocalMinima:
+    """The dip finder's numpy minimum search against scipy.signal.argrelmin
+    (mode='clip'), which it replaces."""
+
+    @staticmethod
+    def assert_matches(y, order):
+        from scipy.signal import argrelmin
+
+        y = np.asarray(y, dtype=float)
+        np.testing.assert_array_equal(_local_minima(y, order), argrelmin(y, order=order)[0])
+
+    def test_seeded_random(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            self.assert_matches(rng.normal(size=n), int(rng.integers(1, 12)))
+
+    def test_plateaus(self):
+        rng = np.random.default_rng(4243)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            self.assert_matches(rng.integers(0, 4, size=n), int(rng.integers(1, 6)))
+        for y in ([3, 1, 1, 3], [2, 0, 0, 0, 2], [1, 1, 1, 1], [3, 1, 2, 1, 3]):
+            for order in (1, 2, 3):
+                self.assert_matches(y, order)
+
+    def test_edges(self):
+        for y in ([0, 1, 2, 3], [3, 2, 1, 0], [0, 5, 0], [1, 0, 2, 3, 4, 5, 6, 7]):
+            for order in (1, 2, 5):
+                self.assert_matches(y, order)
+
+    def test_shorter_than_window(self):
+        rng = np.random.default_rng(4244)
+        for order in (1, 3, 6):
+            for n in range(0, 2 * order + 1):
+                self.assert_matches(rng.normal(size=n), order)
+
+    def test_smoothed_doublet(self, rng):
+        omega, trans = synth_doublet(noise=0.02, rng=rng)
+        width = max(3, len(trans) // 100)
+        smooth = np.convolve(trans, np.ones(width) / width, mode="same")
+        self.assert_matches(smooth, max(1, len(trans) // 50))

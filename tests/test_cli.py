@@ -60,15 +60,20 @@ def write_config(tmp_path, text, name="dev.toml"):
     return path
 
 
-def run_cli(*argv):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def run_python(*args):
+    """Run a fresh interpreter that imports this source tree."""
     src = str(Path(moptrans.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "moptrans.cli", *map(str, argv)],
+        [sys.executable, *map(str, args)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return run_python("-m", "moptrans.cli", *argv)
 
 
 def check_pump_detuning(tmp_path, capsys, verb, name, extra=""):
@@ -503,12 +508,40 @@ class TestBudgetCommand:
 
 class TestEntryPoint:
     def test_python_m_runs_cli(self):
-        src = str(Path(moptrans.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        res = subprocess.run(
-            [sys.executable, "-m", "moptrans.cli", "--version"],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        res = run_cli("--version")
         assert res.returncode == 0
         assert res.stdout.strip() == moptrans.__version__ == "0.1.0"
+
+    # runs `main(argv)` in a fresh interpreter and prints the exit code and
+    # the scipy modules loaded by then
+    SCIPY_PROBE = (
+        "import json, sys\n"
+        "from moptrans.cli import main\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+
+    def probe(self, argv):
+        res = run_python("-c", self.SCIPY_PROBE, json.dumps(list(map(str, argv))))
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout.splitlines()[-1])
+
+    def test_spectrum_loads_no_scipy(self, tmp_path):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "paper_device.toml"
+        out = tmp_path / "spec.csv"
+        code, scipy_modules = self.probe(["spectrum", "--config", cfg, "--out", out])
+        assert code == 0 and out.exists()
+        assert scipy_modules == []
+
+    def test_fit_imports_scipy_lazily(self, tmp_path):
+        km = TWO_PI * 3.48e9 / 284
+        omega = TWO_PI * 3.48e9 + np.linspace(-8 * km, 8 * km, 500)
+        s11 = s11_model(omega, TWO_PI * 3.48e9, km, 0.11 * km)
+        data = tmp_path / "s11.csv"
+        np.savetxt(data, np.column_stack([omega / TWO_PI, s11.real, s11.imag]),
+                   delimiter=",", header="freq_hz,re,im", comments="")
+        out = tmp_path / "fit.json"
+        code, scipy_modules = self.probe(["fit", "s11", "--data", data, "--out", out])
+        assert code == 0
+        assert json.loads(out.read_text())["converged"]
+        assert "scipy.optimize" in scipy_modules

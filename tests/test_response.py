@@ -262,6 +262,31 @@ class TestMultimode:
         np.testing.assert_allclose(spec, terms[0] + terms[1], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(spec, terms[1] + terms[0], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("configuration", list(Configuration))
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    @pytest.mark.parametrize("detuning_hz", [0.0, 20e6])
+    @pytest.mark.parametrize("n_points", [4095, 4097, 20001])
+    def test_blocks_change_no_result(self, configuration, n_modes, detuning_hz, n_points):
+        """Grids are evaluated in blocks; the result equals the one-shot
+        evaluation of the whole grid bit for bit."""
+        from conftest import make_paper_device
+
+        dev = make_paper_device(n_modes)
+        pump = PumpConfig(configuration, dbm_to_watts(21.0))
+        detuning = TWO_PI * detuning_hz
+        ref = dev.transduction_mode.omega_m
+        grid = np.linspace(-TWO_PI * 500e6, TWO_PI * 100e6, n_points)
+        one_shot = sum(
+            np.abs(transfer_from_rates(operating_point(dev, pump, m, detuning),
+                                       "microwave", "optical", grid - (m.omega_m - ref))) ** 2
+            for m in dev.acoustic_modes
+        )
+        spec = multimode_spectrum(dev, pump, detuning, grid)
+        assert np.array_equal(spec.channel("eta_onchip"), one_shot)
+        if n_modes == 1 and detuning_hz == 0.0:
+            onchip = onchip_efficiency_spectrum(dev, pump, grid)
+            assert np.array_equal(onchip.channel("eta_onchip"), one_shot)
+
     def test_overlap_warning(self, paper_device, pump_21dbm):
         from moptrans.model import AcousticMode, DeviceParams
 
@@ -344,6 +369,11 @@ class TestSpectrumType:
             Spectrum(np.array([0.0, 0.0, 1.0]), np.zeros(3))
         with pytest.raises(ValueError):
             Spectrum(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 2.0], [0.0, np.inf, np.inf], [0.0, 1.0, np.inf]])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(np.array(grid), np.ones(3), ("eta_onchip",))
 
     def test_channels(self):
         s = Spectrum(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), ("a", "b"))

@@ -22,7 +22,9 @@ from moptrans.timedomain import (
     Trajectory,
     _BLOCK,
     _CHECK_EVERY,
+    _CHUNK,
     _OVERFLOW,
+    _recur,
 )
 
 from conftest import make_paper_device, make_rates_op
@@ -550,6 +552,38 @@ class TestLockIn:
         t = np.arange(0.0, 1e-6, 1.0 / (5.0 * 200e6))
         with pytest.raises(ValueError):
             lockin_demodulate(t, np.zeros_like(t), config)
+
+
+class TestRecurrence:
+    """The chunked recurrence x_k = m x_{k-1} + u_k against
+    scipy.signal.lfilter, which it replaces in the stepper and the lock-in."""
+
+    # the lock-in's factor: tau_rc = 10 ns sampled 24 times per 3.48 GHz cycle
+    M_LOCKIN = math.exp(-1.0 / (24.0 * 3.48e9 * 10e-9))
+
+    @pytest.mark.parametrize("m", [0.9 * cmath.exp(0.3j), 0.5 - 0.7j, -0.95, M_LOCKIN])
+    @pytest.mark.parametrize("n", [1, 37, _CHUNK - 1, _CHUNK, 2 * _CHUNK, 1000, 4097])
+    @pytest.mark.parametrize("x0", [0.0, 0.8 - 1.3j])
+    def test_matches_lfilter(self, m, n, x0):
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = lfilter([1.0], [1.0, -m], u, zi=[m * x0])[0]
+        got = _recur(m, u, x0)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [63, 116093])
+    def test_real_lockin_input(self, n):
+        from scipy.signal import lfilter
+
+        alpha = 1.0 - self.M_LOCKIN
+        u = np.cos(0.37 * np.arange(n)) * (1.0 + 0.1 * np.sin(1e-3 * np.arange(n)))
+        ref = lfilter([alpha], [1.0, -(1.0 - alpha)], u)
+        got = _recur(1.0 - alpha, alpha * u)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestPulsed:
