@@ -13,7 +13,6 @@ from .model import (
     PumpConfig,
     db_to_linear,
     dbm_to_watts,
-    intracavity_photons,
     linear_to_db,
     photon_flux,
     watts_to_dbm,
@@ -47,7 +46,6 @@ __all__ = [
     "dbm_to_watts",
     "effective_couplings",
     "eigen_oracle",
-    "intracavity_photons",
     "linear_to_db",
     "operating_point",
     "photon_flux",

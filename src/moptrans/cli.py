@@ -4,7 +4,7 @@ Verbs: spectrum, power-sweep, pulse, fit <kind>, budget.  CSV outputs carry
 '#'-prefixed metadata lines (tool version, config hash, command, seed) and
 a header row; floats are printed with 12 significant digits so identical
 configs produce byte-identical files.  Exit codes: 0 success, 1 config
-error, 2 numerical non-convergence, 3 physical instability.
+or usage error, 2 numerical non-convergence, 3 physical instability.
 """
 
 from __future__ import annotations
@@ -318,8 +318,16 @@ def cmd_budget(cfg: RunConfig, args) -> int:
 # entry points
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; argparse's 2 is the non-convergence code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="moptrans", description=__doc__)
+    parser = _Parser(prog="moptrans", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -327,12 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
         # fit reads its inputs from --data; of its kinds only power reads the config
         p.add_argument("--config", required=not needs_data, help="device/run config file")
         p.add_argument("--out", required=True, help="output CSV/JSON path")
-        p.add_argument("--grid", default=None, help="start,stop,n frequency grid [Hz]")
         p.add_argument("--seed", type=int, default=None, help="seed recorded in outputs")
         if needs_data:
             p.add_argument("--data", required=True, help="input data CSV")
+        return p
 
-    common(sub.add_parser("spectrum", help="conversion-efficiency spectrum CSV"))
+    spectrum = common(sub.add_parser("spectrum", help="conversion-efficiency spectrum CSV"))
+    spectrum.add_argument("--grid", default=None, help="start,stop,n frequency grid [Hz]")
     common(sub.add_parser("power-sweep", help="efficiency chain vs pump power CSV"))
     common(sub.add_parser("pulse", help="pulsed down-conversion envelope CSV"))
     fit = sub.add_parser("fit", help="parameter recovery from measured data")

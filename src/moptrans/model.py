@@ -252,21 +252,3 @@ class DeviceParams:
         target = 2.0 * self.coupling_j
         return min(self.acoustic_modes, key=lambda m: abs(m.omega_m - target))
 
-
-def intracavity_photons(params: DeviceParams, pump: PumpConfig) -> float:
-    """Steady-state intracavity photon number of the pumped supermode.
-
-    Assumes the pump is resonant with the addressed supermode, giving
-    n = eta_o * (4 / kappa_o) * P_wg / (hbar omega_L) with the waveguide
-    power P_wg = eta_fiber_chip * P_in.
-    """
-    from . import hybridize  # local import: model is the bottom layer
-
-    sm = hybridize.supermodes(params.left, params.right, params.coupling_j)
-    if pump.configuration is Configuration.ANTI_STOKES:
-        kappa_ex, kappa = sm.kappa_ex_minus, sm.kappa_minus
-    else:
-        kappa_ex, kappa = sm.kappa_ex_plus, sm.kappa_plus
-    p_wg = params.losses.eta_fiber_chip * pump.power_in
-    flux = photon_flux(p_wg, pump.omega_l_effective)
-    return (kappa_ex / kappa) * (4.0 / kappa) * flux

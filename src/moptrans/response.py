@@ -106,13 +106,6 @@ class EfficiencyBudget:
     stages: dict = field(default_factory=dict)
 
 
-def cooperativity(g_eff: float, kappa_o: float, kappa_m: float) -> float:
-    """Three-wave-mixing cooperativity C = 4 g^2 / (kappa_o kappa_m)."""
-    if kappa_o <= 0.0 or kappa_m <= 0.0:
-        raise ValueError("linewidths must be positive")
-    return 4.0 * abs(g_eff) ** 2 / (kappa_o * kappa_m)
-
-
 def eta_internal(c: float, configuration: Configuration) -> float:
     """Internal conversion efficiency 4C/(1 +- C)^2 (+ anti-Stokes,
     - Stokes).  Stokes operation at C >= 1 is parametrically unstable."""
@@ -192,13 +185,6 @@ def transfer_from_rates(op: OperatingPoint, from_port: str, to_port: str, omega)
             )
         out = 1.0 - op.kappa_ex_active * chi_o / det - spectator
     return out if out.ndim else complex(out)
-
-
-def transfer(params: DeviceParams, pump: PumpConfig, from_port: str, to_port: str, omega):
-    """S parameter of a device under a given pump.  For Stokes pumping the
-    cross-port entries are the anomalous (two-mode-squeezing) coefficients
-    S_{a_out <- c_in^dag} and S_{c_out <- a_in^dag}."""
-    return transfer_from_rates(operating_point(params, pump), from_port, to_port, omega)
 
 
 def _summed_eta(terms, omega):

@@ -4,7 +4,10 @@ A FlowGraph carries complex, frequency-dependent edge gains (callables of
 the evaluation offset omega in rad/s).  Transfer functions come out of
 either Mason's gain formula (exhaustive simple-path / simple-cycle
 enumeration with non-touching-loop cofactors) or a direct linear solve of
-x = A x + e_src; the two are mutual oracles.
+x = A x + e_src; the two are mutual oracles.  Paths and cycles come from
+one depth-first walk over the successor lists: each cycle is rooted at its
+earliest node, so it is found once, and a self-loop is a cycle of one
+node.  The physics graphs have at most 14 nodes and 2 loops.
 
 Builders translate the linearized transducer equations of motion into
 graphs whose Mason gains reproduce the closed-form S parameters.  All edge
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
 from .errors import InstabilityError
@@ -46,36 +48,33 @@ class FlowGraph:
     """Directed graph with complex frequency-dependent edge gains.
 
     Parallel edges are merged by summation at construction, so there is at
-    most one edge per ordered node pair.  Structure queries (paths, cycles)
-    are cached; the cache is invalidated by any mutation.
+    most one edge per ordered node pair.  Nodes keep their insertion order,
+    and each simple cycle is listed from its earliest node.  Structure
+    queries (paths, cycles) are cached; the cache is invalidated by any
+    mutation.
     """
 
     def __init__(self):
-        self._roles: dict[str, str] = {}
-        self._edges: dict[tuple[str, str], tuple[GainFn, str]] = {}
+        self._succ: dict[str, list[str]] = {}
+        self._edges: dict[tuple[str, str], GainFn] = {}
         self._cycle_cache = None
         self._path_cache: dict[tuple[str, str], list[list[str]]] = {}
 
     # -- construction -------------------------------------------------
 
-    def add_node(self, name: str, role: str = "internal") -> None:
-        if role not in ("source", "sink", "internal"):
-            raise ValueError(f"unknown node role {role!r}")
-        if name in self._roles and self._roles[name] != role:
-            raise ValueError(f"node {name!r} already present with role {self._roles[name]!r}")
-        self._roles[name] = role
+    def add_node(self, name: str) -> None:
+        self._succ.setdefault(name, [])
 
-    def add_edge(self, src: str, dst: str, gain: GainFn, label: str = "") -> None:
-        for n in (src, dst):
-            if n not in self._roles:
-                self.add_node(n)
+    def add_edge(self, src: str, dst: str, gain: GainFn) -> None:
+        self.add_node(src)
+        self.add_node(dst)
         key = (src, dst)
         if key in self._edges:
-            old_fn, old_label = self._edges[key]
-            merged_label = f"{old_label} + {label}" if label else old_label
-            self._edges[key] = (lambda w, f=old_fn, g=gain: f(w) + g(w), merged_label)
+            old = self._edges[key]
+            self._edges[key] = lambda w, f=old, g=gain: f(w) + g(w)
         else:
-            self._edges[key] = (gain, label)
+            self._edges[key] = gain
+            self._succ[src].append(dst)
         self._cycle_cache = None
         self._path_cache.clear()
 
@@ -83,43 +82,61 @@ class FlowGraph:
 
     @property
     def nodes(self) -> tuple[str, ...]:
-        return tuple(self._roles)
+        return tuple(self._succ)
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
         return tuple(self._edges)
 
-    def role(self, name: str) -> str:
-        return self._roles[name]
+    def _walks(self, start: str, stop: str, inner) -> list[list[str]]:
+        """Every path start -> ... -> stop along edges, with distinct inner
+        nodes drawn from `inner` and never equal to start or stop."""
+        found = []
+        path = [start]
 
-    def _nx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self._roles)
-        g.add_edges_from(self._edges)
-        return g
+        def visit(v):
+            for w in self._succ[v]:
+                if w == stop:
+                    found.append(path + [w])
+                elif w in inner and w not in path:
+                    path.append(w)
+                    visit(w)
+                    path.pop()
+
+        visit(start)
+        return found
 
     def simple_cycles(self) -> list[list[str]]:
+        """Elementary cycles, each listed once from its earliest node: the
+        walks from a root back to itself through later nodes only (the
+        rooted enumeration of Johnson, SIAM J. Comput. 4, 77 (1975))."""
         if self._cycle_cache is None:
-            self._cycle_cache = [list(c) for c in nx.simple_cycles(self._nx())]
+            order = self.nodes
+            self._cycle_cache = [
+                walk[:-1]
+                for i, root in enumerate(order)
+                for walk in self._walks(root, root, set(order[i + 1:]))
+            ]
         return self._cycle_cache
 
     def simple_paths(self, src: str, dst: str) -> list[list[str]]:
+        """Forward paths src -> dst with no repeated node; [[src]] for
+        src == dst.  An unknown node raises KeyError."""
+        for name in (src, dst):
+            if name not in self._succ:
+                raise KeyError(name)
         key = (src, dst)
         if key not in self._path_cache:
             if src == dst:
                 self._path_cache[key] = [[src]]
             else:
-                try:
-                    paths = [list(p) for p in nx.all_simple_paths(self._nx(), src, dst)]
-                except (nx.NodeNotFound, nx.NetworkXNoPath):
-                    paths = []
-                self._path_cache[key] = paths
+                self._path_cache[key] = self._walks(src, dst, self._succ)
         return self._path_cache[key]
 
     # -- evaluation helpers --------------------------------------------
 
     def _edge_gain(self, src: str, dst: str, omega: float) -> complex:
-        return complex(self._edges[(src, dst)][0](omega))
+        return complex(self._edges[(src, dst)](omega))
 
     def _path_gain(self, path: list[str], omega: float) -> complex:
         g = 1.0 + 0.0j
@@ -130,17 +147,6 @@ class FlowGraph:
     def _cycle_gain(self, cycle: list[str], omega: float) -> complex:
         closed = cycle + [cycle[0]]
         return self._path_gain(closed, omega)
-
-    def to_dot(self) -> str:
-        """Debug dump in DOT format with symbolic gain labels."""
-        lines = ["digraph flowgraph {"]
-        for name, role in self._roles.items():
-            shape = {"source": "box", "sink": "box", "internal": "ellipse"}[role]
-            lines.append(f'  "{name}" [shape={shape}];')
-        for (src, dst), (_, label) in self._edges.items():
-            lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def _delta(loop_masks: list[int], loop_gains: list[complex], forbidden: int) -> complex:
@@ -169,8 +175,10 @@ def mason_gain(graph: FlowGraph, src: str, dst: str, omega: float) -> GainResult
     For src == dst the self-gain Delta_(G minus src) / Delta is returned
     (unity plus all return-path contributions).  A determinant magnitude
     below 1e-14 signals a singular (resonant/unstable) graph at this
-    frequency and raises InstabilityError.
+    frequency and raises InstabilityError; an unknown `src` or `dst`
+    raises KeyError, as in solve_gain.
     """
+    paths = graph.simple_paths(src, dst)
     bit = {name: 1 << i for i, name in enumerate(graph.nodes)}
 
     cycles = graph.simple_cycles()
@@ -189,7 +197,6 @@ def mason_gain(graph: FlowGraph, src: str, dst: str, omega: float) -> GainResult
             f"singular flow graph at omega={omega!r}: |Delta|={abs(det)!r}"
         )
 
-    paths = graph.simple_paths(src, dst)
     total = 0.0 + 0.0j
     for p in paths:
         mask = 0
@@ -256,27 +263,22 @@ def antistokes_graph_from_rates(op: OperatingPoint) -> FlowGraph:
     split = op.splitting
 
     fg = FlowGraph()
-    for name in ("a_in", "c_in"):
-        fg.add_node(name, "source")
-    for name in ("a_minus", "a_plus", "b"):
-        fg.add_node(name, "internal")
-    for name in ("a_out", "c_out"):
-        fg.add_node(name, "sink")
+    for name in ("a_in", "c_in", "a_minus", "a_plus", "b", "a_out", "c_out"):
+        fg.add_node(name)
 
-    fg.add_edge("c_in", "b", lambda w: sq_ex_m * chi_m(w), "sqrt(kex_m) chi_m")
-    fg.add_edge("b", "a_plus", lambda w: 1j * g * chi_p(w), "i g_+ chi_+")
-    fg.add_edge("a_plus", "b", lambda w: 1j * g.conjugate() * chi_m(w), "i g_+* chi_m")
-    fg.add_edge("a_in", "a_plus", lambda w: sq_ex_p * chi_p(w), "sqrt(kex_+) chi_+")
+    fg.add_edge("c_in", "b", lambda w: sq_ex_m * chi_m(w))
+    fg.add_edge("b", "a_plus", lambda w: 1j * g * chi_p(w))
+    fg.add_edge("a_plus", "b", lambda w: 1j * g.conjugate() * chi_m(w))
+    fg.add_edge("a_in", "a_plus", lambda w: sq_ex_p * chi_p(w))
     fg.add_edge(
         "a_in", "a_minus",
         lambda w: sq_ex_mn / (-1j * (w + split) + 0.5 * op.kappa_minus),
-        "sqrt(kex_-) chi_-[w+splitting]",
     )
-    fg.add_edge("a_plus", "a_out", lambda w: -sq_ex_p, "-sqrt(kex_+)")
-    fg.add_edge("a_minus", "a_out", lambda w: -sq_ex_mn, "-sqrt(kex_-)")
-    fg.add_edge("b", "c_out", lambda w: sq_ex_m, "sqrt(kex_m)")
-    fg.add_edge("a_in", "a_out", lambda w: 1.0, "1")
-    fg.add_edge("c_in", "c_out", lambda w: -1.0, "-1")
+    fg.add_edge("a_plus", "a_out", lambda w: -sq_ex_p)
+    fg.add_edge("a_minus", "a_out", lambda w: -sq_ex_mn)
+    fg.add_edge("b", "c_out", lambda w: sq_ex_m)
+    fg.add_edge("a_in", "a_out", lambda w: 1.0)
+    fg.add_edge("c_in", "c_out", lambda w: -1.0)
     return fg
 
 
@@ -299,45 +301,43 @@ def stokes_graph_from_rates(op: OperatingPoint) -> FlowGraph:
     split = op.splitting
 
     fg = FlowGraph()
-    for name in ("a_in", "c_in_dag", "c_in", "a_in_dag"):
-        fg.add_node(name, "source")
-    for name in ("a_minus", "a_plus", "b_dag", "b", "a_minus_dag", "a_plus_dag"):
-        fg.add_node(name, "internal")
-    for name in ("a_out", "c_out_dag", "c_out", "a_out_dag"):
-        fg.add_node(name, "sink")
+    for name in (
+        "a_in", "c_in_dag", "c_in", "a_in_dag",
+        "a_minus", "a_plus", "b_dag", "b", "a_minus_dag", "a_plus_dag",
+        "a_out", "c_out_dag", "c_out", "a_out_dag",
+    ):
+        fg.add_node(name)
 
     # optical-annihilation sector: carries S_aa and the up-conversion
     # anomalous coefficient S_{a_out <- c_in^dag}
-    fg.add_edge("c_in_dag", "b_dag", lambda w: sq_ex_m * chi_m(w), "sqrt(kex_m) chi_m")
-    fg.add_edge("b_dag", "a_minus", lambda w: 1j * g * chi_mn(w), "i g_- chi_-")
-    fg.add_edge("a_minus", "b_dag", lambda w: -1j * g.conjugate() * chi_m(w), "-i g_-* chi_m")
-    fg.add_edge("a_in", "a_minus", lambda w: sq_ex_mn * chi_mn(w), "sqrt(kex_-) chi_-")
+    fg.add_edge("c_in_dag", "b_dag", lambda w: sq_ex_m * chi_m(w))
+    fg.add_edge("b_dag", "a_minus", lambda w: 1j * g * chi_mn(w))
+    fg.add_edge("a_minus", "b_dag", lambda w: -1j * g.conjugate() * chi_m(w))
+    fg.add_edge("a_in", "a_minus", lambda w: sq_ex_mn * chi_mn(w))
     fg.add_edge(
         "a_in", "a_plus",
         lambda w: sq_ex_p / (-1j * (w - split) + 0.5 * op.kappa_plus),
-        "sqrt(kex_+) chi_+[w-splitting]",
     )
-    fg.add_edge("a_minus", "a_out", lambda w: -sq_ex_mn, "-sqrt(kex_-)")
-    fg.add_edge("a_plus", "a_out", lambda w: -sq_ex_p, "-sqrt(kex_+)")
-    fg.add_edge("b_dag", "c_out_dag", lambda w: sq_ex_m, "sqrt(kex_m)")
-    fg.add_edge("a_in", "a_out", lambda w: 1.0, "1")
-    fg.add_edge("c_in_dag", "c_out_dag", lambda w: -1.0, "-1")
+    fg.add_edge("a_minus", "a_out", lambda w: -sq_ex_mn)
+    fg.add_edge("a_plus", "a_out", lambda w: -sq_ex_p)
+    fg.add_edge("b_dag", "c_out_dag", lambda w: sq_ex_m)
+    fg.add_edge("a_in", "a_out", lambda w: 1.0)
+    fg.add_edge("c_in_dag", "c_out_dag", lambda w: -1.0)
 
     # microwave sector: carries S_cc and the down-conversion anomalous
     # coefficient S_{c_out <- a_in^dag}
-    fg.add_edge("c_in", "b", lambda w: sq_ex_m * chi_m(w), "sqrt(kex_m) chi_m")
-    fg.add_edge("b", "a_minus_dag", lambda w: -1j * g.conjugate() * chi_mn(w), "-i g_-* chi_-")
-    fg.add_edge("a_minus_dag", "b", lambda w: 1j * g * chi_m(w), "i g_- chi_m")
-    fg.add_edge("a_in_dag", "a_minus_dag", lambda w: sq_ex_mn * chi_mn(w), "sqrt(kex_-) chi_-")
+    fg.add_edge("c_in", "b", lambda w: sq_ex_m * chi_m(w))
+    fg.add_edge("b", "a_minus_dag", lambda w: -1j * g.conjugate() * chi_mn(w))
+    fg.add_edge("a_minus_dag", "b", lambda w: 1j * g * chi_m(w))
+    fg.add_edge("a_in_dag", "a_minus_dag", lambda w: sq_ex_mn * chi_mn(w))
     fg.add_edge(
         "a_in_dag", "a_plus_dag",
         lambda w: sq_ex_p / (-1j * (w + split) + 0.5 * op.kappa_plus),
-        "sqrt(kex_+) chi_+[w+splitting]",
     )
-    fg.add_edge("a_minus_dag", "a_out_dag", lambda w: -sq_ex_mn, "-sqrt(kex_-)")
-    fg.add_edge("a_plus_dag", "a_out_dag", lambda w: -sq_ex_p, "-sqrt(kex_+)")
-    fg.add_edge("b", "c_out", lambda w: sq_ex_m, "sqrt(kex_m)")
-    fg.add_edge("a_in_dag", "a_out_dag", lambda w: 1.0, "1")
-    fg.add_edge("c_in", "c_out", lambda w: -1.0, "-1")
+    fg.add_edge("a_minus_dag", "a_out_dag", lambda w: -sq_ex_mn)
+    fg.add_edge("a_plus_dag", "a_out_dag", lambda w: -sq_ex_p)
+    fg.add_edge("b", "c_out", lambda w: sq_ex_m)
+    fg.add_edge("a_in_dag", "a_out_dag", lambda w: 1.0)
+    fg.add_edge("c_in", "c_out", lambda w: -1.0)
     return fg
 

@@ -123,18 +123,6 @@ class Trajectory:
     a_plus: np.ndarray
     b: np.ndarray
 
-    def export_csv(self, path) -> None:
-        header = "t_seconds,a_minus_re,a_minus_im,a_plus_re,a_plus_im,b_re,b_im"
-        data = np.column_stack(
-            [
-                self.t,
-                self.a_minus.real, self.a_minus.imag,
-                self.a_plus.real, self.a_plus.imag,
-                self.b.real, self.b.imag,
-            ]
-        )
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def _recur(m, u, x=0.0):
     """x_k = m x_{k-1} + u_k for k = 0 .. n-1 from x_{-1} = x, with a

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moptrans.hybridize import OperatingPoint
+from moptrans.hybridize import OperatingPoint, supermodes
 from moptrans.model import (
     TWO_PI,
     AcousticMode,
@@ -14,6 +14,7 @@ from moptrans.model import (
     PumpConfig,
     db_to_linear,
     dbm_to_watts,
+    photon_flux,
 )
 
 OMEGA_1550 = TWO_PI * 299792458.0 / 1550e-9
@@ -63,6 +64,23 @@ def make_rates_op(
         g_plus=g,
         splitting=splitting,
     )
+
+
+def intracavity_photons(params: DeviceParams, pump: PumpConfig) -> float:
+    """Independent reference for the pumped supermode's photon number.
+
+    Assumes the pump is resonant with the addressed supermode, giving
+    n = eta_o * (4 / kappa_o) * P_wg / (hbar omega_L) with the waveguide
+    power P_wg = eta_fiber_chip * P_in.
+    """
+    sm = supermodes(params.left, params.right, params.coupling_j)
+    if pump.configuration is Configuration.ANTI_STOKES:
+        kappa_ex, kappa = sm.kappa_ex_minus, sm.kappa_minus
+    else:
+        kappa_ex, kappa = sm.kappa_ex_plus, sm.kappa_plus
+    p_wg = params.losses.eta_fiber_chip * pump.power_in
+    flux = photon_flux(p_wg, pump.omega_l_effective)
+    return (kappa_ex / kappa) * (4.0 / kappa) * flux
 
 
 @pytest.fixture

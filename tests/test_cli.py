@@ -47,6 +47,8 @@ input_power_dbm = -10.0
 temperature_k = 0.8
 """
 
+PAPER_CONFIG_FILE = Path(__file__).resolve().parents[1] / "configs" / "paper_device.toml"
+
 TWO_MODE_EXTRA = """
 mode2_freq_hz = 3.165e9
 mode2_kappa_hz = 16.0e6
@@ -512,6 +514,41 @@ class TestEntryPoint:
         assert res.returncode == 0
         assert res.stdout.strip() == moptrans.__version__ == "0.1.0"
 
+    def test_help_exits_0(self):
+        res = run_cli("spectrum", "--help")
+        assert res.returncode == 0
+        assert "--grid" in res.stdout and res.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--config", PAPER_CONFIG_FILE],
+        ["transmogrify", "--config", PAPER_CONFIG_FILE, "--out", "OUT"],
+        ["spectrum", "--config", PAPER_CONFIG_FILE, "--out", "OUT", "--seed", "x"],
+        ["budget", "--config", PAPER_CONFIG_FILE, "--out", "OUT", "--grid", "1,2,3"],
+    ])
+    def test_usage_error_exits_1(self, tmp_path, argv):
+        # 2 is the non-convergence code, so a usage error must not use it
+        res = run_cli(*(tmp_path / "out" if a == "OUT" else a for a in argv))
+        assert res.returncode == 1
+        assert res.stderr.startswith("usage: moptrans")
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_submodules_load_no_networkx_or_scipy(self):
+        script = (
+            "import importlib, json, pkgutil, sys\n"
+            "import moptrans\n"
+            "names = [m.name for m in pkgutil.iter_modules(moptrans.__path__, 'moptrans.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith(('networkx', 'scipy')))\n"
+            "print(json.dumps([names, loaded]))\n"
+        )
+        res = run_python("-c", script)
+        assert res.returncode == 0, res.stderr
+        names, loaded = json.loads(res.stdout.splitlines()[-1])
+        assert {"moptrans.sfg", "moptrans.calibrate", "moptrans.cli"} <= set(names)
+        assert loaded == []
+
     # runs `main(argv)` in a fresh interpreter and prints the exit code and
     # the scipy modules loaded by then
     SCIPY_PROBE = (
@@ -527,9 +564,8 @@ class TestEntryPoint:
         return json.loads(res.stdout.splitlines()[-1])
 
     def test_spectrum_loads_no_scipy(self, tmp_path):
-        cfg = Path(__file__).resolve().parents[1] / "configs" / "paper_device.toml"
         out = tmp_path / "spec.csv"
-        code, scipy_modules = self.probe(["spectrum", "--config", cfg, "--out", out])
+        code, scipy_modules = self.probe(["spectrum", "--config", PAPER_CONFIG_FILE, "--out", out])
         assert code == 0 and out.exists()
         assert scipy_modules == []
 

@@ -17,10 +17,9 @@ from moptrans.model import (
     OpticalModeBare,
     PumpConfig,
     dbm_to_watts,
-    intracavity_photons,
 )
 
-from conftest import OMEGA_1550
+from conftest import OMEGA_1550, intracavity_photons
 
 W0 = OMEGA_1550
 

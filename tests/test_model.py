@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from moptrans.hybridize import operating_point
 from moptrans.model import (
     HBAR,
     TWO_PI,
@@ -14,14 +15,13 @@ from moptrans.model import (
     PumpConfig,
     db_to_linear,
     dbm_to_watts,
-    intracavity_photons,
     linear_to_db,
     photon_flux,
     watts_to_dbm,
     x_zpf,
 )
 
-from conftest import make_paper_device
+from conftest import intracavity_photons, make_paper_device
 
 
 class TestUnitConversions:
@@ -110,20 +110,23 @@ class TestXzpf:
 
 
 class TestIntracavityPhotons:
+    """The operating point's pumped-supermode photon number."""
+
     def test_zero_power(self, paper_device):
         pump = PumpConfig(Configuration.ANTI_STOKES, 0.0)
-        assert intracavity_photons(paper_device, pump) == 0.0
+        assert operating_point(paper_device, pump).n_pump == 0.0
 
     def test_appendix_chain(self, paper_device, pump_21dbm):
         # eta_o ~ 0.35, kappa_o ~ 2pi x 172 MHz, 21 dBm pump, -4 dB facet
-        n = intracavity_photons(paper_device, pump_21dbm)
+        n = operating_point(paper_device, pump_21dbm).n_pump
         assert n == pytest.approx(5.1e8, rel=0.02)
+        assert n == pytest.approx(intracavity_photons(paper_device, pump_21dbm), rel=1e-12)
 
     def test_linearity(self, paper_device):
         p1 = PumpConfig(Configuration.ANTI_STOKES, 0.01)
         p2 = PumpConfig(Configuration.ANTI_STOKES, 0.02)
-        assert intracavity_photons(paper_device, p2) == pytest.approx(
-            2.0 * intracavity_photons(paper_device, p1), rel=1e-12
+        assert operating_point(paper_device, p2).n_pump == pytest.approx(
+            2.0 * operating_point(paper_device, p1).n_pump, rel=1e-12
         )
 
 

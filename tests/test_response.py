@@ -9,7 +9,6 @@ from moptrans.model import TWO_PI, Configuration, PumpConfig, dbm_to_watts, line
 from moptrans.response import (
     CouplingOptimum,
     Spectrum,
-    cooperativity,
     eta_extraction,
     eta_internal,
     eta_spectrum_from_rates,
@@ -18,7 +17,6 @@ from moptrans.response import (
     offchip_efficiency,
     onchip_efficiency_spectrum,
     optimal_coupling,
-    transfer,
     transfer_from_rates,
 )
 from moptrans.sfg import antistokes_graph_from_rates, mason_gain, solve_gain, stokes_graph_from_rates
@@ -27,12 +25,6 @@ from conftest import make_rates_op
 
 
 class TestScalars:
-    def test_cooperativity(self):
-        assert cooperativity(0.0, 1.0, 1.0) == 0.0
-        assert cooperativity(0.5, 1.0, 1.0) == pytest.approx(1.0)
-        c = cooperativity(TWO_PI * 4.7e5, TWO_PI * 170e6, TWO_PI * 13e6)
-        assert c == pytest.approx(4e-4, rel=0.01)
-
     def test_eta_internal(self):
         assert eta_internal(0.0, Configuration.ANTI_STOKES) == 0.0
         assert eta_internal(1.0, Configuration.ANTI_STOKES) == pytest.approx(1.0)
@@ -200,11 +192,12 @@ class TestTransfer:
         with pytest.raises(InstabilityError):
             transfer_from_rates(op, "microwave", "optical", 0.0)
 
-    def test_device_level_wrapper(self, paper_device, pump_21dbm):
-        s = transfer(paper_device, pump_21dbm, "microwave", "optical", 0.0)
-        assert isinstance(s, complex)
-        with pytest.raises(ValueError):
-            transfer(paper_device, pump_21dbm, "acoustic", "optical", 0.0)
+    def test_unknown_port_rejected(self):
+        op = make_rates_op(Configuration.ANTI_STOKES)
+        assert isinstance(transfer_from_rates(op, "microwave", "optical", 0.0), complex)
+        for ports in (("acoustic", "optical"), ("optical", "acoustic")):
+            with pytest.raises(ValueError, match="unknown port 'acoustic'"):
+                transfer_from_rates(op, *ports, 0.0)
 
 
 class TestMultimode:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -93,6 +94,69 @@ class TestMasonBasics:
         g.add_node("c")
         assert mason_gain(g, "a", "c", 0.0).value == 0.0
         assert solve_gain(g, "a", "c", 0.0) == 0.0
+
+    @pytest.mark.parametrize("solver", [mason_gain, solve_gain])
+    @pytest.mark.parametrize("src,dst", [("a", "typo"), ("typo", "b"), ("typo", "typo")])
+    def test_unknown_node_is_key_error(self, solver, src, dst):
+        g = FlowGraph()
+        g.add_edge("a", "b", constant(1.0))
+        with pytest.raises(KeyError, match="typo"):
+            solver(g, src, dst, 0.0)
+
+
+def brute_cycles(g):
+    """Every elementary cycle as a tuple rotated to start at its earliest
+    node, from all ordered node sequences whose consecutive edges exist."""
+    order = {name: i for i, name in enumerate(g.nodes)}
+    edges = set(g.edges)
+    found = set()
+    for k in range(1, len(order) + 1):
+        for seq in itertools.permutations(order, k):
+            if all(pair in edges for pair in zip(seq, seq[1:] + seq[:1])):
+                first = min(range(k), key=lambda i: order[seq[i]])
+                found.add(seq[first:] + seq[:first])
+    return found
+
+
+def brute_paths(g, src, dst):
+    """Every src -> dst path with no repeated node, from all orderings of
+    every subset of the other nodes."""
+    if src == dst:
+        return {(src,)}
+    edges = set(g.edges)
+    others = [n for n in g.nodes if n not in (src, dst)]
+    found = set()
+    for k in range(len(others) + 1):
+        for inner in itertools.permutations(others, k):
+            seq = (src, *inner, dst)
+            if all(pair in edges for pair in zip(seq, seq[1:])):
+                found.add(seq)
+    return found
+
+
+class TestStructureEnumeration:
+    def test_matches_brute_force(self, rng):
+        """Random graphs of 1-6 nodes with self-loops, isolated nodes,
+        repeated edges and src == dst."""
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            names = [f"n{i}" for i in range(n)]
+            g = FlowGraph()
+            for name in names:
+                g.add_node(name)
+            density = rng.uniform(0.1, 0.6)
+            for u, v in itertools.product(names, repeat=2):
+                if rng.random() < density:
+                    g.add_edge(u, v, constant(1.0))
+                    if rng.random() < 0.1:
+                        g.add_edge(u, v, constant(1.0))  # merged into one edge
+            cycles = [tuple(c) for c in g.simple_cycles()]
+            assert len(cycles) == len(set(cycles))
+            assert set(cycles) == brute_cycles(g)
+            src, dst = (names[i] for i in rng.choice(n, size=2, replace=True))
+            paths = [tuple(p) for p in g.simple_paths(src, dst)]
+            assert len(paths) == len(set(paths))
+            assert set(paths) == brute_paths(g, src, dst)
 
 
 class TestSolverEquivalence:
@@ -206,13 +270,3 @@ class TestStokesGraph:
         det1 = mason_gain(g, "c_in_dag", "a_out", w).determinant
         det2 = mason_gain(g, "c_in", "c_out", w).determinant
         assert det1 == pytest.approx(det2, rel=1e-12)
-
-
-class TestDotExport:
-    def test_contains_structure(self):
-        op = make_rates_op(Configuration.ANTI_STOKES)
-        text = antistokes_graph_from_rates(op).to_dot()
-        assert text.startswith("digraph")
-        assert '"c_in" -> "b"' in text
-        assert "chi_m" in text
-        assert '"a_in" [shape=box];' in text

@@ -409,15 +409,6 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(op, None, {}, (0.0, 1e-6), 1.0 / op.kappa_m)
 
-    def test_csv_export(self, tmp_path):
-        op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.0)
-        traj = integrate(op, None, {}, (0.0, 1.0 / op.kappa_m), _dt_for(op),
-                         initial=StateVector(1.0, 0.0, 0.0), record_every=64)
-        path = tmp_path / "traj.csv"
-        traj.export_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("t_seconds,a_minus_re")
-
 
 def _ramp(t_end):
     """Raised-cosine coupling ramp over [0, t_end]."""
