@@ -3,8 +3,11 @@
 Verbs: spectrum, power-sweep, pulse, fit <kind>, budget.  CSV outputs carry
 '#'-prefixed metadata lines (tool version, config hash, command, seed) and
 a header row; floats are printed with 12 significant digits so identical
-configs produce byte-identical files.  Exit codes: 0 success, 1 config
-or usage error, 2 numerical non-convergence, 3 physical instability.
+configs produce byte-identical files; `pulse` keeps every k-th lock-in
+sample and the last, k = max(1, floor(lockin_tau_s / (100 dt))) for the
+integrator step dt, and writes the steps, dt and k in a '# diag:' line.
+Exit codes: 0 success, 1 config or usage error, 2 numerical
+non-convergence, 3 physical instability.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ def _metadata_lines(cfg: RunConfig | None, command: str, seed: int | None) -> li
     return lines
 
 
-def _write_csv(path, cfg, command, seed, header: list[str], rows) -> None:
+def _write_csv(path, cfg, command, seed, header: list[str], rows, diag: tuple[str, ...] = ()) -> None:
     fmt = ",".join(["%.12g"] * len(header))
     text_rows = [fmt % row for row in rows]
-    body = _metadata_lines(cfg, command, seed) + [",".join(header)] + text_rows
+    meta = _metadata_lines(cfg, command, seed) + [f"# diag: {d}" for d in diag]
+    body = meta + [",".join(header)] + text_rows
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(body) + "\n")
 
@@ -162,6 +166,10 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid pulse sequence: {exc}") from exc
+    duration = cfg.get("sim_duration_s")
+    for key, value in (("lockin_tau_s", tau_s), ("sim_duration_s", duration)):
+        if value is not None and value <= 0.0:
+            raise ConfigError(f"{key} must be positive")
     device = cfg.device
     op_mode = device.transduction_mode
     lockin = timedomain.LockInConfig(omega_ref=op_mode.omega_m, tau_rc=float(tau_s))
@@ -172,7 +180,6 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
 
     flux = photon_flux(device.losses.eta_fiber_chip * input_watts, cfg.pump.omega_l_effective)
 
-    duration = cfg.get("sim_duration_s")
     t, amp, phase = timedomain.pulsed_downconversion(
         device,
         pulse,
@@ -181,7 +188,12 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
         pump_power=cfg.pump.power_in,
         duration=float(duration) if duration is not None else None,
     )
-    _write_csv(args.out, cfg, "pulse", args.seed, ["t_s", "amp", "phase"], zip(t, amp, phase))
+    dt = float(t[1])
+    stride = max(1, int(lockin.tau_rc / (100.0 * dt)))
+    keep = np.append(np.arange(0, t.size - 1, stride), t.size - 1)
+    diag = f"integrator_steps={t.size - 1} dt_s={dt!r} decimation_stride={stride}"
+    _write_csv(args.out, cfg, "pulse", args.seed, ["t_s", "amp", "phase"],
+               zip(t[keep], amp[keep], phase[keep]), (diag,))
     return 0
 
 
@@ -343,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum = common(sub.add_parser("spectrum", help="conversion-efficiency spectrum CSV"))
     spectrum.add_argument("--grid", default=None, help="start,stop,n frequency grid [Hz]")
     common(sub.add_parser("power-sweep", help="efficiency chain vs pump power CSV"))
-    common(sub.add_parser("pulse", help="pulsed down-conversion envelope CSV"))
+    common(sub.add_parser("pulse", help="pulsed down-conversion envelope CSV: every k-th lock-in "
+                          "sample and the last, k = max(1, floor(lockin_tau_s / (100 dt)))"))
     fit = sub.add_parser("fit", help="parameter recovery from measured data")
     fit.add_argument("kind", choices=("doublet", "s11", "power", "step"))
     common(fit, needs_data=True)

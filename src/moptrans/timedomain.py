@@ -15,8 +15,10 @@ coupling and drive samples alone.  One stepper builds them in numpy for
 blocks of _BLOCK steps (bounding the temporaries) and carries the state
 across blocks: the decoupled scalar mode (the spectator supermode, or
 the pump ring-up of the pulsed path) runs as a first-order recurrence
-with a constant factor (`_recur`), and the coupled pair as one 2x2
-complex update per step.
+with a constant factor (`_recur`), and the coupled pair as an affine scan
+of its 2x2 complex maps (`_scan_pair`): doubling passes inside chunks of
+_PAIR_CHUNK steps, then a serial carry across the chunks.  Both sum in
+another order than a per-step loop, so they match it to rounding only.
 
 Envelope frames:
   a_minus, a_plus  relative to their own supermode resonances,
@@ -50,6 +52,7 @@ _OVERFLOW = 1e12
 _CHECK_EVERY = 256
 _BLOCK = 16 * _CHECK_EVERY  # steps per block: bounds the temporaries
 _CHUNK = 64  # steps per chunk of `_recur`
+_PAIR_CHUNK = 32  # steps per chunk of `_scan_pair`
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,34 @@ def _recur(m, u, x=0.0):
     return chunks.ravel()[:n]
 
 
+def _scan_pair(rows, y0, y1, n):
+    """The n states after (y0, y1) of y_{k+1} = M_k y_k + u_k; rows = (m00,
+    m01, u0, m10, m11, u1) are the entries of [M_k | u_k], each a scalar or
+    an array over the steps.  log2(_PAIR_CHUNK) doubling passes compose each
+    map with those before it in its chunk of _PAIR_CHUNK steps, and a serial
+    carry gives the state entering each chunk (the affine scan of Blelloch,
+    CMU-CS-90-190, 1990; Martin & Cundy, ICLR 2018)."""
+    y0, y1 = complex(y0), complex(y1)
+    a = np.zeros((6, -(-n // _PAIR_CHUNK) * _PAIR_CHUNK), dtype=complex)
+    a[[0, 4], n:] = 1.0  # identity maps pad the last chunk
+    for entry, v in zip(a, rows):
+        entry[:n] = v
+    a = a.reshape(2, 3, -1, _PAIR_CHUNK)  # a[r] = (m_r0, m_r1, u_r) over (chunk, step)
+    s = 1
+    while s < _PAIR_CHUNK:  # step i now holds the map over steps i - 2s + 1 .. i of its chunk
+        late, early = a[..., s:], a[..., :-s]
+        composed = late[:, :1] * early[0] + late[:, 1:2] * early[1]
+        composed[:, 2] += late[:, 2]
+        a[..., s:] = composed
+        s *= 2
+    entering = []
+    for m00, m01, u0, m10, m11, u1 in zip(*a[..., -1].reshape(6, -1).tolist()):
+        entering.append((y0, y1))
+        y0, y1 = m00 * y0 + m01 * y1 + u0, m10 * y0 + m11 * y1 + u1
+    z0, z1 = np.array(entering).T[:, :, None]
+    return (a[:, 0] * z0 + a[:, 1] * z1 + a[:, 2]).reshape(2, -1)[:, :n]
+
+
 def _rk4_affine(a, f, y, h):
     """One classical RK4 step of y' = A y + f, vectorised over a block of
     steps.  a[s] (a list of rows) and f[s] are the matrix and the forcing at
@@ -177,8 +208,9 @@ def _stepper(t0, dt, n, lam, pair, inputs, state, record_every=1):
 
     with pair = (d0, d1, c0, c1) and state = (x, y_0, y_1) at t0.  Both are
     run as affine recurrences over blocks of _BLOCK steps: x_{k+1} = m x_k
-    + u_k through `_recur`, y_{k+1} = M_k y_k + u_k as a 2x2 complex update
-    per step.  inputs(ts) returns (f_x, e, f_0, f_1) at the block's step
+    + u_k through `_recur`, y_{k+1} = M_k y_k + u_k through `_scan_pair`,
+    one code path whether M_k is constant (e = 1.0) or varies per step.
+    inputs(ts) returns (f_x, e, f_0, f_1) at the block's step
     times followed by its midpoints, each a scalar or an array over ts; the
     stage at t_k + h uses the sample at t_{k+1}.  e = None makes the
     coupling follow x's own RK4 stage values (a pump ring-up).
@@ -215,13 +247,7 @@ def _stepper(t0, dt, n, lam, pair, inputs, state, record_every=1):
         col0 = _rk4_affine(a, no_force, [1.0, 0.0], dt)
         col1 = _rk4_affine(a, no_force, [0.0, 1.0], dt)
         u = _rk4_affine(a, list(zip(f0, f1)), [0.0, 0.0], dt)
-        coef = (col0[0], col1[0], col0[1], col1[1], u[0], u[1])
-        ys0, ys1 = [], []
-        for m00, m01, m10, m11, u0, u1 in zip(*(np.broadcast_to(v, (nb,)).tolist() for v in coef)):
-            y0, y1 = m00 * y0 + m01 * y1 + u0, m10 * y0 + m11 * y1 + u1
-            ys0.append(y0)
-            ys1.append(y1)
-        block = (xs, np.array(ys0), np.array(ys1))
+        block = (xs, *_scan_pair((col0[0], col1[0], u[0], col0[1], col1[1], u[1]), y0, y1, nb))
         check = np.arange(_CHECK_EVERY - 1, nb, _CHECK_EVERY)  # k0 is a multiple of _CHECK_EVERY
         with np.errstate(over="ignore", invalid="ignore"):
             mag = sum(np.abs(v[check]) for v in block)
@@ -237,7 +263,7 @@ def _stepper(t0, dt, n, lam, pair, inputs, state, record_every=1):
         for r, v in zip(rec, block):
             r[j:j + keep.size] = v[keep]
         j += keep.size
-        x, y0, y1 = xs[-1], ys0[-1], ys1[-1]
+        x, y0, y1 = (v[-1] for v in block)
     return t_rec, *rec
 
 

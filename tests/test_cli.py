@@ -305,6 +305,54 @@ class TestPulseCommand:
         cfg = write_config(tmp_path, text)
         assert main(["pulse", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("key, value", [("lockin_tau_s", "0.0"), ("lockin_tau_s", "-30.0e-9"),
+                                            ("sim_duration_s", "-0.1e-6")])
+    def test_nonpositive_time_is_config_error(self, tmp_path, capsys, key, value):
+        text = "\n".join(l for l in PAPER_CONFIG.splitlines() if not l.startswith(key))
+        cfg = write_config(tmp_path, f"{text}\n{key} = {value}\n")
+        out = tmp_path / "pulse.csv"
+        assert main(["pulse", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def run_decimated(self, tmp_path, monkeypatch):
+        """`pulse` on a short window; returns the CSV lines and the full
+        (t, amp, phase) that `pulsed_downconversion` handed to the writer."""
+        from moptrans import timedomain
+
+        original, full = timedomain.pulsed_downconversion, []
+
+        def spy(*args, **kwargs):
+            full.append(original(*args, **kwargs))
+            return full[-1]
+
+        monkeypatch.setattr(timedomain, "pulsed_downconversion", spy)
+        cfg = write_config(tmp_path, PAPER_CONFIG + "sim_duration_s = 0.1e-6\n")
+        out = tmp_path / "pulse.csv"
+        assert main(["pulse", "--config", str(cfg), "--out", str(out)]) == 0
+        return out.read_text().splitlines(), full[0]
+
+    def test_rows_are_decimated_lockin_samples(self, tmp_path, monkeypatch):
+        lines, (t, amp, phase) = self.run_decimated(tmp_path, monkeypatch)
+        rows = [l for l in lines if not l.startswith("#")][1:]
+        tau = 30.0e-9
+        stride = max(1, int(tau / (100.0 * t[1])))
+        keep = list(range(0, t.size - 1, stride)) + [t.size - 1]
+        assert stride > 1 and len(rows) == len(keep) < t.size
+        assert rows == ["%.12g,%.12g,%.12g" % (t[i], amp[i], phase[i]) for i in keep]
+        assert rows[0].startswith("0,") and rows[-1] == "%.12g,%.12g,%.12g" % (t[-1], amp[-1], phase[-1])
+        assert np.max(np.diff(t[keep])) <= tau / 100.0 * (1.0 + 1e-12)
+
+    def test_diag_line_reaches_file(self, tmp_path, monkeypatch):
+        lines, (t, _, _) = self.run_decimated(tmp_path, monkeypatch)
+        header = lines.index("t_s,amp,phase")
+        diag = [l for l in lines[:header] if l.startswith("# diag: ")]
+        assert len(diag) == 1 and lines[header - 1] == diag[0]
+        fields = dict(f.split("=") for f in diag[0][len("# diag: "):].split())
+        assert fields == {"integrator_steps": str(t.size - 1), "dt_s": repr(float(t[1])),
+                          "decimation_stride": str(max(1, int(30.0e-9 / (100.0 * t[1]))))}
+
 
 class TestFitCommand:
     def test_doublet_round_trip(self, tmp_path):

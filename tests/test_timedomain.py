@@ -24,7 +24,9 @@ from moptrans.timedomain import (
     _CHECK_EVERY,
     _CHUNK,
     _OVERFLOW,
+    _PAIR_CHUNK,
     _recur,
+    _scan_pair,
 )
 
 from conftest import make_paper_device, make_rates_op
@@ -245,6 +247,18 @@ def _pulsed_ref(
     waveform = np.real(c_out_env * np.exp(-1j * op.omega_m * t))
     amp, phase = lockin_demodulate(t, waveform, lockin)
     return t, amp, phase
+
+
+def _pair_loop_ref(rows, y0, y1, n):
+    """The per-step update of the coupled pair that the affine scan
+    replaced: y_{k+1} = M_k y_k + u_k with rows = (m00, m01, u0, m10, m11,
+    u1), each a scalar or an array over the n steps."""
+    ys0, ys1 = [], []
+    for m00, m01, u0, m10, m11, u1 in zip(*(np.broadcast_to(v, (n,)).tolist() for v in rows)):
+        y0, y1 = m00 * y0 + m01 * y1 + u0, m10 * y0 + m11 * y1 + u1
+        ys0.append(y0)
+        ys1.append(y1)
+    return np.array(ys0), np.array(ys1)
 
 
 def _dt_for(op, extra_hz=0.0, factor=60.0, optical_drive=False):
@@ -575,6 +589,29 @@ class TestRecurrence:
         got = _recur(1.0 - alpha, alpha * u)
         assert got.dtype == np.float64
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestScanPair:
+    """The chunked affine scan of the pair against the per-step loop, on
+    seeded random contractive maps."""
+
+    @pytest.mark.parametrize("n", [1, _PAIR_CHUNK - 1, _PAIR_CHUNK, _PAIR_CHUNK + 1, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("per_step", [False, True])
+    @pytest.mark.parametrize("y", [(0.0, 0.0), (1.5 - 0.5j, -0.7 + 2.0j)])
+    def test_matches_loop(self, n, per_step, y):
+        rng = np.random.default_rng([n, per_step])
+        shape = (n,) if per_step else ()
+        m = rng.normal(size=(4, *shape)) + 1j * rng.normal(size=(4, *shape))
+        # Frobenius norm below 1, so every M_k is a contraction
+        m *= rng.uniform(0.5, 0.999, size=shape) / np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
+        u = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        rows = (m[0], m[1], u[0], m[2], m[3], u[1])
+        got = _scan_pair(rows, *y, n)
+        ref = _pair_loop_ref(rows, *y, n)
+        assert got.shape == (2, n)
+        peak = max(np.max(np.abs(r)) for r in ref)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-12 * peak
 
 
 class TestPulsed:
