@@ -263,7 +263,7 @@ def cmd_budget(cfg: RunConfig, args) -> int:
     device, pump = cfg.device, cfg.pump
     if pump.power_in == 0.0:
         budget_payload = {
-            "eta_int": 0.0, "eta_ext": response.eta_extraction(device, pump.configuration),
+            "eta_int": 0.0, "eta_ext": response.offchip_efficiency(device, pump).eta_ext,
             "eta_oc": 0.0, "eta_tot": 0.0, "eta_tot_linearized": 0.0,
             "cooperativity": 0.0, "n_bar": 0.0, "stages": {},
         }

@@ -64,6 +64,7 @@ _SCHEMA: dict[str, tuple[type, bool]] = {
 
 _UNIT_SUFFIXES = ("_hz", "_dbm", "_db", "_k", "_s", "_kg")
 _DIMENSIONLESS = {"pump_config", "grid_points", "power_points", "n_optical_in"}
+_NON_NEGATIVE = ("temperature_k", "n_optical_in", "pulse_edge_s")
 
 
 def _parse_scalar(token: str, lineno: int):
@@ -146,6 +147,9 @@ def _validate_keys(raw: dict) -> None:
                 value = float(value)
             if not isinstance(value, typ):
                 raise ConfigError(f"key {key!r} must be of type {typ.__name__}")
+    for key in _NON_NEGATIVE:
+        if raw.get(key, 0.0) < 0.0:
+            raise ConfigError(f"key {key!r} must be non-negative, got {raw[key]!r}")
 
 
 def _acoustic_modes(raw: dict) -> tuple[AcousticMode, ...]:

@@ -74,13 +74,10 @@ class Supermodes:
 
 @dataclass(frozen=True)
 class EffectiveCouplings:
-    """Pump-dressed multi-photon coupling rates g_-+ [rad/s] and the
-    steady-state supermode amplitudes [sqrt(photons)] that produced them."""
+    """Pump-dressed multi-photon coupling rates g_-+ [rad/s]."""
 
     g_minus: complex
     g_plus: complex
-    alpha_ss_minus: complex
-    alpha_ss_plus: complex
 
 
 def _branch_fixed_w(d: complex, j: float) -> complex:
@@ -248,10 +245,7 @@ def effective_couplings(
         raise ValueError(f"(x, y) not normalized: |x|^2+|y|^2 = {norm!r}")
     g_minus = g0 * (abs(x) ** 2 * alpha_ss_minus + x.conjugate() * y * alpha_ss_plus)
     g_plus = g0 * (abs(y) ** 2 * alpha_ss_plus + x * y.conjugate() * alpha_ss_minus)
-    return EffectiveCouplings(
-        g_minus=g_minus, g_plus=g_plus,
-        alpha_ss_minus=alpha_ss_minus, alpha_ss_plus=alpha_ss_plus,
-    )
+    return EffectiveCouplings(g_minus=g_minus, g_plus=g_plus)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstabilityError
-from .hybridize import OperatingPoint, operating_point, supermodes
+from .hybridize import OperatingPoint, operating_point
 from .model import HBAR, Configuration, DeviceParams, PumpConfig
 
 PORTS = ("optical", "microwave")
@@ -116,20 +116,6 @@ def eta_internal(c: float, configuration: Configuration) -> float:
     if c >= 1.0:
         raise InstabilityError(f"Stokes pumping at C = {c!r} >= 1 is above threshold")
     return 4.0 * c / (1.0 - c) ** 2
-
-
-def eta_extraction(
-    params: DeviceParams, configuration: Configuration = Configuration.ANTI_STOKES
-) -> float:
-    """Extraction efficiency (kappa_ex_o/kappa_o)(kappa_ex_m/kappa_m) of
-    the active conversion pair."""
-    sm = supermodes(params.left, params.right, params.coupling_j)
-    mode = params.transduction_mode
-    if configuration is Configuration.ANTI_STOKES:
-        eta_o = sm.kappa_ex_plus / sm.kappa_plus
-    else:
-        eta_o = sm.kappa_ex_minus / sm.kappa_minus
-    return eta_o * mode.eta_m
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +345,12 @@ class CouplingOptimum:
     eta_grid: np.ndarray
 
 
-def optimal_coupling(f_prefactor: float, n_grid: int = 201) -> CouplingOptimum:
+def optimal_coupling(f_prefactor: float) -> CouplingOptimum:
     """Analytic optimum of eta(R) = F R^2 / (1+R)^4 plus the curve itself
-    on a logarithmic grid R in [0.01, 100] for plotting."""
+    on a 201-point logarithmic grid R in [0.01, 100] for plotting."""
     if f_prefactor <= 0.0:
         raise ValueError("prefactor F must be positive")
-    r = np.logspace(-2.0, 2.0, n_grid)
+    r = np.logspace(-2.0, 2.0, 201)
     eta = f_prefactor * r ** 2 / (1.0 + r) ** 4
     return CouplingOptimum(
         r_opt=1.0, eta_peak=f_prefactor / 16.0, r_grid=r, eta_grid=eta

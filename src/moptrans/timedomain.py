@@ -3,11 +3,12 @@
 The integrator evolves slowly varying mode envelopes in the interaction
 picture of the chosen pump configuration; optical carriers never appear.
 Langevin noise operators are replaced by deterministic drive amplitudes
-(mean-field), so every trajectory is reproducible.  Counter-rotating
-optomechanical terms (oscillating at 2 omega_m) are dropped; the
-far-detuned spectator supermode is kept, with its drive phase rotating at
-the supermode splitting, so optical-port responses include the spectator
-contribution present in the closed forms.
+(mean-field), so every trajectory is reproducible.  Every mode starts
+empty, and every step is recorded.  Counter-rotating optomechanical terms
+(oscillating at 2 omega_m) are dropped; the far-detuned spectator
+supermode is kept, with its drive phase rotating at the supermode
+splitting, so optical-port responses include the spectator contribution
+present in the closed forms.
 
 Stepping: the equations are linear, so one classical RK4 step is the
 affine map y_{k+1} = M_k y_k + u_k, whose coefficients come from the
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,16 +53,6 @@ _CHECK_EVERY = 256
 _BLOCK = 16 * _CHECK_EVERY  # steps per block: bounds the temporaries
 _CHUNK = 64  # steps per chunk of `_recur`
 _PAIR_CHUNK = 32  # steps per chunk of `_scan_pair`
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Mode amplitudes (sqrt photons / sqrt phonons) in their rotating
-    frames."""
-
-    a_minus: complex
-    a_plus: complex
-    b: complex
 
 
 class EnvelopeShape(Enum):
@@ -200,13 +190,13 @@ def _rk4_affine(a, f, y, h):
     return [yi + sixth * (p + 2.0 * q + 2.0 * r + w) for yi, p, q, r, w in zip(y, k1, k2, k3, k4)]
 
 
-def _stepper(t0, dt, n, lam, pair, inputs, state, record_every=1):
+def _stepper(t0, dt, n, lam, pair, inputs):
     """Fixed-step classical RK4 of a scalar mode x and a coupled pair y,
 
         x' = lam x + f_x(t),
         y' = [[d0, c0 e(t)], [c1 e(t), d1]] y + (f_0(t), f_1(t)),
 
-    with pair = (d0, d1, c0, c1) and state = (x, y_0, y_1) at t0.  Both are
+    from x = y_0 = y_1 = 0 at t0, with pair = (d0, d1, c0, c1).  Both are
     run as affine recurrences over blocks of _BLOCK steps: x_{k+1} = m x_k
     + u_k through `_recur`, y_{k+1} = M_k y_k + u_k through `_scan_pair`,
     one code path whether M_k is constant (e = 1.0) or varies per step.
@@ -215,20 +205,17 @@ def _stepper(t0, dt, n, lam, pair, inputs, state, record_every=1):
     stage at t_k + h uses the sample at t_{k+1}.  e = None makes the
     coupling follow x's own RK4 stage values (a pump ring-up).
     |x| + |y_0| + |y_1| is tested for divergence every _CHECK_EVERY steps,
-    at the end of each block.  Returns (t, x, y_0, y_1) every record_every
-    steps, initial state included."""
+    at the end of each block.  Returns (t, x, y_0, y_1) at every step, the
+    zero initial state included."""
     d0, d1, c0, c1 = pair
-    x, y0, y1 = state
+    x = y0 = y1 = 0.0j
     half = 0.5 * dt
     m = _rk4_affine([[[lam]]] * 4, [[0.0]] * 4, [1.0], dt)[0]
-    n_rec = n // record_every + 1
-    t_rec = np.empty(n_rec)
-    rec = [np.empty(n_rec, dtype=complex) for _ in state]
-    t_rec[0], rec[0][0], rec[1][0], rec[2][0] = t0, x, y0, y1
-    j = 1
+    t_all = t0 + np.arange(n + 1) * dt
+    rec = [np.zeros(n + 1, dtype=complex) for _ in range(3)]
     for k0 in range(0, n, _BLOCK):
         nb = min(_BLOCK, n - k0)
-        t = t0 + np.arange(k0, k0 + nb + 1) * dt
+        t = t_all[k0:k0 + nb + 1]
         ts = np.concatenate([t, t[:-1] + half])
 
         def stages(v):
@@ -258,13 +245,10 @@ def _stepper(t0, dt, n, lam, pair, inputs, state, record_every=1):
                 f"trajectory diverged at t={t0 + (i + 1) * dt!r} (|state| ~ {float(mag[bad[0]])!r}); "
                 "operating point is above the parametric threshold"
             )
-        keep = np.arange((-k0 - 1) % record_every, nb, record_every)
-        t_rec[j:j + keep.size] = t[keep + 1]
         for r, v in zip(rec, block):
-            r[j:j + keep.size] = v[keep]
-        j += keep.size
+            r[k0 + 1:k0 + nb + 1] = v
         x, y0, y1 = (v[-1] for v in block)
-    return t_rec, *rec
+    return t_all, *rec
 
 
 def integrate(
@@ -273,19 +257,17 @@ def integrate(
     drives: dict,
     t_span: tuple[float, float],
     dt: float,
-    g_envelope: Callable[[float], float] | None = None,
-    initial: StateVector | None = None,
-    record_every: int = 1,
     max_drive_freq: float = 0.0,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the linearized equations of motion.
+    """Fixed-step RK4 integration of the linearized equations of motion,
+    from empty modes at t0, recording every step.
 
     Models zero sideband detuning: `op.sideband_detuning` is not read.
     The spectator (a_- under anti-Stokes, a_+ under Stokes) is decoupled;
     (a_+, b), or (a_-, conj b) under Stokes, is a complex-linear pair.  The
     steps run as the affine recurrence y_{k+1} = M_k y_k + u_k in blocks of
-    _BLOCK steps; each drive and `g_envelope` is called once per step time
-    and once per midpoint.
+    _BLOCK steps; each drive is called once per step time and once per
+    midpoint.
 
     Parameters
     ----------
@@ -297,8 +279,6 @@ def integrate(
     dt : step [s]; validated against 50 samples per fastest rate, where the
         fastest rate includes the supermode splitting whenever an optical
         drive is present (its spectator phase rotates at the splitting).
-    g_envelope : optional real dimensionless modulation of the effective
-        couplings (pulsed pump gating).
     max_drive_freq : fastest frequency content of the drive envelopes [Hz],
         declared by the caller for step validation.
     """
@@ -323,27 +303,23 @@ def integrate(
         math.sqrt(op.kappa_ex_m),
     )
     antistokes = op.configuration is Configuration.ANTI_STOKES
-    am, ap, b = (0.0j,) * 3 if initial is None else (initial.a_minus, initial.a_plus, initial.b)
 
-    def sample(fn, ts, dtype=complex):
-        return np.fromiter(map(fn, ts.tolist()), dtype, ts.size)
+    def sample(fn, ts):
+        return np.fromiter(map(fn, ts.tolist()), complex, ts.size)
 
     def inputs(ts):
         a_in = 0.0 if opt is None else sample(opt, ts)
         c_in = 0.0 if mw is None else sample(mw, ts)
-        e = 1.0 if g_envelope is None else sample(g_envelope, ts, float)
         if antistokes:
-            return sm_ * a_in, e, sp_ * a_in * np.exp(1j * op.splitting * ts), sb_ * c_in
-        return sp_ * a_in, e, sm_ * a_in * np.exp(-1j * op.splitting * ts), sb_ * np.conj(c_in)
+            return sm_ * a_in, 1.0, sp_ * a_in * np.exp(1j * op.splitting * ts), sb_ * c_in
+        return sp_ * a_in, 1.0, sm_ * a_in * np.exp(-1j * op.splitting * ts), sb_ * np.conj(c_in)
 
     if antistokes:  # spectator a_-, pair (a_+, b)
         g = op.g_plus
-        t, am, ap, b = _stepper(t0, dt, n_steps, -km, (-kp, -kb, 1j * g, 1j * g.conjugate()),
-                                inputs, (am, ap, b), record_every)
+        t, am, ap, b = _stepper(t0, dt, n_steps, -km, (-kp, -kb, 1j * g, 1j * g.conjugate()), inputs)
     else:  # spectator a_+, pair (a_-, conj b)
         g = op.g_minus
-        t, ap, am, b = _stepper(t0, dt, n_steps, -kp, (-km, -kb, 1j * g, -1j * g.conjugate()),
-                                inputs, (ap, am, complex(b).conjugate()), record_every)
+        t, ap, am, b = _stepper(t0, dt, n_steps, -kp, (-km, -kb, 1j * g, -1j * g.conjugate()), inputs)
         b = b.conj()
     return Trajectory(t=t, a_minus=am, a_plus=ap, b=b)
 
@@ -388,8 +364,6 @@ def pulsed_downconversion(
     lockin: LockInConfig,
     pump_power: float,
     duration: float | None = None,
-    pulse_start: float | None = None,
-    samples_per_cycle: int = 24,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """End-to-end pulsed optical-to-microwave conversion.
 
@@ -399,7 +373,8 @@ def pulsed_downconversion(
     optical tone of on-chip photon flux `optical_input_flux` [1/s] sits on
     the lower supermode; the converted microwave output at the acoustic
     carrier is synthesized as a real waveform and demodulated by the
-    lock-in model.
+    lock-in model.  The pulse starts at 3 tau_rc, and the integrator
+    takes 24 steps per acoustic carrier cycle.
 
     Returns (t, amplitude, phase).
     """
@@ -409,8 +384,8 @@ def pulsed_downconversion(
         raise InstabilityError("pulsed pump peak power is above the Stokes threshold")
 
     f_carrier = op.omega_m / TWO_PI
-    dt = 1.0 / (samples_per_cycle * f_carrier)
-    t_start = 3.0 * lockin.tau_rc if pulse_start is None else pulse_start
+    dt = 1.0 / (24 * f_carrier)
+    t_start = 3.0 * lockin.tau_rc
     t_end = t_start + (duration if duration is not None else min(pulse.tau_on, 1.0e-6) + 10.0 * lockin.tau_rc)
     n = int(math.ceil(t_end / dt))
 
@@ -427,8 +402,7 @@ def pulsed_downconversion(
 
     # x: pump amplitude over its steady state, its RK4 stages scaling g_-;
     # pair (a_-, conj b).  Keeping only t and conj b frees the rest early.
-    t, b_conj = _stepper(0.0, dt, n, -kp, (-km, -kb, 1j * g_peak, -1j * g_peak.conjugate()),
-                         inputs, (0.0, 0.0, 0.0))[::3]
+    t, b_conj = _stepper(0.0, dt, n, -kp, (-km, -kb, 1j * g_peak, -1j * g_peak.conjugate()), inputs)[::3]
     c_out_env = sb_out * b_conj.conj()  # no microwave input
     waveform = np.real(c_out_env * np.exp(-1j * op.omega_m * t))
     amp, phase = lockin_demodulate(t, waveform, lockin)

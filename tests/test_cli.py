@@ -160,6 +160,40 @@ class TestConfigParsing:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, verb, pump_dbm", [("temperature_k", "budget", "21.0"),
+                                                     ("temperature_k", "budget", "-inf"),
+                                                     ("n_optical_in", "budget", "21.0"),
+                                                     ("pulse_edge_s", "pulse", "21.0")])
+    def test_negative_value_is_config_error(self, tmp_path, capsys, key, verb, pump_dbm):
+        """These keys used to end in a raw ValueError traceback (pump on),
+        exit 0 with the negative temperature in the JSON (pump off), or a
+        silently rectangular pulse (negative edge)."""
+        lines = [l for l in PAPER_CONFIG.splitlines() if not l.startswith((key, "pump_power_dbm"))]
+        cfg = write_config(tmp_path, "\n".join(lines) + f"\npump_power_dbm = {pump_dbm}\n{key} = -1.0\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1e-300", "-2"])
+    @pytest.mark.parametrize("key", ["temperature_k", "n_optical_in", "pulse_edge_s"])
+    def test_negative_value_rejected_on_load(self, tmp_path, key, value):
+        """The smallest negative float and a negative integer token are
+        caught too, not only -1.0."""
+        lines = [l for l in PAPER_CONFIG.splitlines() if not l.startswith(key)]
+        cfg = write_config(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{key}.*non-negative"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("key", ["temperature_k", "n_optical_in", "pulse_edge_s"])
+    def test_zero_value_accepted(self, tmp_path, key):
+        lines = [l for l in PAPER_CONFIG.splitlines() if not l.startswith(key)]
+        cfg = load_config(write_config(tmp_path, "\n".join(lines) + f"\n{key} = 0.0\n"))
+        assert cfg.get(key) == 0.0
+
     def test_inf_splitting_spectrum_exits_1(self, tmp_path, capsys):
         """coupling_j_hz = inf used to end in a raw ValueError traceback."""
         cfg = write_config(tmp_path, PAPER_CONFIG.replace("coupling_j_hz = 1.74e9", "coupling_j_hz = inf"))
@@ -543,6 +577,25 @@ class TestBudgetCommand:
 
     def test_pump_detuning_rejected(self, tmp_path, capsys):
         check_pump_detuning(tmp_path, capsys, "budget", "budget.json")
+
+    @pytest.mark.parametrize("conf", ["antistokes", "stokes"])
+    def test_pump_off(self, tmp_path, conf):
+        """With the pump off, eta_ext is the pumped report's (it does not
+        depend on pump power) and everything the pump drives is zero or
+        absent."""
+        text = PAPER_CONFIG.replace('"antistokes"', f'"{conf}"')
+        reports = []
+        for dbm in ("21.0", "-inf"):
+            cfg = write_config(tmp_path, text.replace("pump_power_dbm = 21.0", f"pump_power_dbm = {dbm}"))
+            out = tmp_path / "budget.json"
+            assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        on, off = reports
+        assert on["efficiency"]["eta_ext"] > 0.0
+        assert off["efficiency"]["eta_ext"] == pytest.approx(on["efficiency"]["eta_ext"], rel=1e-12)
+        assert all(off["efficiency"][k] == 0.0 for k in ("eta_int", "eta_oc", "eta_tot", "cooperativity"))
+        assert off["pair_generation"] is None and off["added_noise"] is None
+        assert off["thermal"] == on["thermal"]
 
     def test_missing_config_file(self, tmp_path):
         assert main(["budget", "--config", str(tmp_path / "nope.toml"),

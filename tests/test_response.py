@@ -9,7 +9,6 @@ from moptrans.model import TWO_PI, Configuration, PumpConfig, dbm_to_watts, line
 from moptrans.response import (
     CouplingOptimum,
     Spectrum,
-    eta_extraction,
     eta_internal,
     eta_spectrum_from_rates,
     fwhm,
@@ -32,21 +31,38 @@ class TestScalars:
         with pytest.raises(InstabilityError):
             eta_internal(1.0, Configuration.STOKES)
 
-    def test_eta_extraction(self, paper_device):
-        val = eta_extraction(paper_device)
+    def test_eta_ext(self, paper_device):
+        val = offchip_efficiency(paper_device, PumpConfig(Configuration.ANTI_STOKES, 0.0)).eta_ext
         assert val == pytest.approx((60.0 / 172.0) * 0.11, rel=1e-9)
 
-    def test_eta_extraction_limits(self, paper_device):
+    def test_eta_ext_limits(self, paper_device):
         from moptrans.model import AcousticMode, DeviceParams, OpticalModeBare
 
         base = paper_device
+        pump_off = PumpConfig(Configuration.ANTI_STOKES, 0.0)
         over = OpticalModeBare(base.left.omega, 0.0, TWO_PI * 170e6)
         mode = AcousticMode(TWO_PI * 3.48e9, TWO_PI * 13e6, TWO_PI * 13e6)
         dev = DeviceParams(over, over, base.coupling_j, (mode,), base.g0, base.losses)
-        assert eta_extraction(dev) == pytest.approx(1.0, rel=1e-12)
+        assert offchip_efficiency(dev, pump_off).eta_ext == pytest.approx(1.0, rel=1e-12)
         dark = AcousticMode(TWO_PI * 3.48e9, TWO_PI * 13e6, 0.0)
         dev0 = DeviceParams(base.left, base.right, base.coupling_j, (dark,), base.g0, base.losses)
-        assert eta_extraction(dev0) == 0.0
+        assert offchip_efficiency(dev0, pump_off).eta_ext == 0.0
+
+    @pytest.mark.parametrize("power", [0.0, 1e-3, dbm_to_watts(21.0)])
+    @pytest.mark.parametrize("cfg", [Configuration.ANTI_STOKES, Configuration.STOKES])
+    def test_eta_ext_is_extraction_of_active_pair(self, paper_device, cfg, power):
+        """eta_ext is (kappa_ex_o/kappa_o)(kappa_ex_m/kappa_m) of the active
+        supermode and the transduction mode, whatever the pump power."""
+        from moptrans.hybridize import supermodes
+
+        sm = supermodes(paper_device.left, paper_device.right, paper_device.coupling_j)
+        if cfg is Configuration.ANTI_STOKES:
+            eta_o = sm.kappa_ex_plus / sm.kappa_plus
+        else:
+            eta_o = sm.kappa_ex_minus / sm.kappa_minus
+        expected = eta_o * paper_device.transduction_mode.eta_m
+        got = offchip_efficiency(paper_device, PumpConfig(cfg, power)).eta_ext
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestOnchipSpectrum:
@@ -354,6 +370,19 @@ class TestOptimalCoupling:
     def test_invalid_prefactor(self):
         with pytest.raises(ValueError):
             optimal_coupling(0.0)
+
+    @pytest.mark.parametrize("f", [0.5, 16.0, 1e3])
+    def test_plot_grid(self, f):
+        """201 log-spaced points over [0.01, 100]; the middle one is R = 1,
+        where the curve reaches the analytic peak."""
+        res = optimal_coupling(f)
+        assert res.r_grid.shape == res.eta_grid.shape == (201,)
+        assert res.r_grid[0] == pytest.approx(0.01, rel=1e-15)
+        assert res.r_grid[-1] == pytest.approx(100.0, rel=1e-15)
+        assert np.allclose(np.diff(np.log10(res.r_grid)), 0.02, rtol=0.0, atol=1e-12)
+        assert res.r_grid[100] == 1.0
+        assert int(np.argmax(res.eta_grid)) == 100
+        assert res.eta_grid[100] == pytest.approx(res.eta_peak, rel=1e-15)
 
 
 class TestSpectrumType:

@@ -1,7 +1,6 @@
 import cmath
 import math
 import re
-from typing import Callable
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from moptrans.timedomain import (
     lockin_demodulate,
     pulsed_downconversion,
     integrate,
-    StateVector,
     Trajectory,
     _BLOCK,
     _CHECK_EVERY,
@@ -62,12 +60,10 @@ def _integrate_ref(
     drives: dict,
     t_span: tuple[float, float],
     dt: float,
-    g_envelope: Callable[[float], float] | None = None,
-    initial: StateVector | None = None,
-    record_every: int = 1,
     max_drive_freq: float = 0.0,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the linearized equations of motion.
+    """Fixed-step RK4 integration of the linearized equations of motion,
+    from empty modes at t0, recording every step.
 
     Models zero sideband detuning: `op.sideband_detuning` is not read.
 
@@ -81,8 +77,6 @@ def _integrate_ref(
     dt : step [s]; validated against 50 samples per fastest rate, where the
         fastest rate includes the supermode splitting whenever an optical
         drive is present (its spectator phase rotates at the splitting).
-    g_envelope : optional dimensionless modulation of the effective
-        couplings (pulsed pump gating).
     max_drive_freq : fastest frequency content of the drive envelopes [Hz],
         declared by the caller for step validation.
     """
@@ -100,7 +94,6 @@ def _integrate_ref(
 
     t0, t1 = t_span
     n_steps = int(math.ceil((t1 - t0) / dt))
-    env = g_envelope if g_envelope is not None else (lambda t: 1.0)
 
     km, kp, kb = 0.5 * op.kappa_minus, 0.5 * op.kappa_plus, 0.5 * op.kappa_m
     sm_, sp_, sb_ = (
@@ -110,13 +103,11 @@ def _integrate_ref(
     )
     split = op.splitting
     antistokes = op.configuration is Configuration.ANTI_STOKES
-    g_plus = op.g_plus
-    g_minus = op.g_minus
+    g = op.g_plus if antistokes else op.g_minus
 
     if antistokes:
         def rhs(t, am, ap, b):
             a_in = opt(t)
-            g = g_plus * env(t)
             d_am = -km * am + sm_ * a_in
             d_ap = -kp * ap + 1j * g * b + sp_ * a_in * cmath.exp(1j * split * t)
             d_b = -kb * b + 1j * g.conjugate() * ap + sb_ * mw(t)
@@ -124,26 +115,18 @@ def _integrate_ref(
     else:
         def rhs(t, am, ap, b):
             a_in = opt(t)
-            g = g_minus * env(t)
             d_am = -km * am + 1j * g * b.conjugate() + sm_ * a_in * cmath.exp(-1j * split * t)
             d_ap = -kp * ap + sp_ * a_in
             d_b = -kb * b + 1j * g * am.conjugate() + sb_ * mw(t)
             return d_am, d_ap, d_b
 
-    if initial is None:
-        am, ap, b = 0.0j, 0.0j, 0.0j
-    else:
-        am, ap, b = complex(initial.a_minus), complex(initial.a_plus), complex(initial.b)
-
-    n_rec = n_steps // record_every + 1
-    t_rec = np.empty(n_rec)
-    am_rec = np.empty(n_rec, dtype=complex)
-    ap_rec = np.empty(n_rec, dtype=complex)
-    b_rec = np.empty(n_rec, dtype=complex)
+    am, ap, b = 0.0j, 0.0j, 0.0j
     t = t0
-    j = 0
-    t_rec[0], am_rec[0], ap_rec[0], b_rec[0] = t, am, ap, b
-    j = 1
+    t_rec = np.empty(n_steps + 1)
+    am_rec = np.zeros(n_steps + 1, dtype=complex)
+    ap_rec = np.zeros(n_steps + 1, dtype=complex)
+    b_rec = np.zeros(n_steps + 1, dtype=complex)
+    t_rec[0] = t
     half = 0.5 * dt
     sixth = dt / 6.0
     for i in range(n_steps):
@@ -162,10 +145,8 @@ def _integrate_ref(
                     f"trajectory diverged at t={t!r} (|state| ~ {mag!r}); "
                     "operating point is above the parametric threshold"
                 )
-        if (i + 1) % record_every == 0:
-            t_rec[j], am_rec[j], ap_rec[j], b_rec[j] = t, am, ap, b
-            j += 1
-    return Trajectory(t=t_rec[:j], a_minus=am_rec[:j], a_plus=ap_rec[:j], b=b_rec[:j])
+        t_rec[i + 1], am_rec[i + 1], ap_rec[i + 1], b_rec[i + 1] = t, am, ap, b
+    return Trajectory(t=t_rec, a_minus=am_rec, a_plus=ap_rec, b=b_rec)
 
 
 def _pulsed_ref(
@@ -175,8 +156,6 @@ def _pulsed_ref(
     lockin: LockInConfig,
     pump_power: float,
     duration: float | None = None,
-    pulse_start: float | None = None,
-    samples_per_cycle: int = 24,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """End-to-end pulsed optical-to-microwave conversion.
 
@@ -196,8 +175,8 @@ def _pulsed_ref(
         raise InstabilityError("pulsed pump peak power is above the Stokes threshold")
 
     f_carrier = op.omega_m / TWO_PI
-    dt = 1.0 / (samples_per_cycle * f_carrier)
-    t_start = 3.0 * lockin.tau_rc if pulse_start is None else pulse_start
+    dt = 1.0 / (24 * f_carrier)
+    t_start = 3.0 * lockin.tau_rc
     t_end = t_start + (duration if duration is not None else min(pulse.tau_on, 1.0e-6) + 10.0 * lockin.tau_rc)
     n = int(math.ceil(t_end / dt))
     t = np.arange(n + 1) * dt
@@ -326,15 +305,16 @@ def steady_transfer(op, drive_port, nu, settle_factor=18.0, fast_extra_hz=0.0):
 
 class TestIntegrate:
     def test_bare_decay(self):
+        """With g = 0, b rings down freely once its drive stops at t_off."""
         op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.0)
-        t_end = 5.0 / op.kappa_m
         dt = _dt_for(op)
-        traj = integrate(
-            op, None, {}, (0.0, t_end), dt,
-            initial=StateVector(0.0, 0.0, 1.0),
-        )
-        expected = math.exp(-0.5 * op.kappa_m * traj.t[-1])
-        assert abs(traj.b[-1]) == pytest.approx(expected, rel=1e-6)
+        k_off = math.ceil(2.0 / (op.kappa_m * dt))
+        t_off = k_off * dt  # on the step grid: every stage from t_off on sees no drive
+        drives = {"microwave": lambda t: 1.0 if t < t_off else 0.0}
+        traj = integrate(op, None, drives, (0.0, t_off + 5.0 / op.kappa_m), dt)
+        assert traj.t[k_off] == t_off
+        expected = math.exp(-0.5 * op.kappa_m * (traj.t[-1] - t_off))
+        assert abs(traj.b[-1]) / abs(traj.b[k_off]) == pytest.approx(expected, rel=1e-6)
 
     def test_cw_microwave_drive_matches_closed_form(self):
         op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.05)
@@ -410,23 +390,42 @@ class TestIntegrate:
         assert np.allclose(2.0 * t1.a_minus, t2.a_minus, rtol=1e-10, atol=1e-14)
 
     def test_passivity(self):
+        """Both ports drive all three modes until t_off; from then on the
+        anti-Stokes beam splitter only loses quanta."""
         op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.6)
-        traj = integrate(
-            op, None, {}, (0.0, 8.0 / op.kappa_m), _dt_for(op),
-            initial=StateVector(0.4 + 0.1j, 0.8, 0.6 - 0.2j), record_every=8,
-        )
-        quanta = np.abs(traj.a_minus) ** 2 + np.abs(traj.a_plus) ** 2 + np.abs(traj.b) ** 2
+        dt = _dt_for(op, optical_drive=True)
+        k_off = math.ceil(2.0 / (op.kappa_m * dt))
+        t_off = k_off * dt
+        # drive amplitudes of order sqrt(kappa) fill the modes to order one quantum
+        drives = {
+            "optical": lambda t: (0.9 + 0.3j) * math.sqrt(op.kappa_minus) if t < t_off else 0.0j,
+            "microwave": lambda t: (0.5 - 1.1j) * math.sqrt(op.kappa_m) if t < t_off else 0.0j,
+        }
+        traj = integrate(op, None, drives, (0.0, t_off + 8.0 / op.kappa_m), dt)
+        assert traj.t[k_off] == t_off
+        quanta = (np.abs(traj.a_minus) ** 2 + np.abs(traj.a_plus) ** 2 + np.abs(traj.b) ** 2)[k_off:]
+        assert min(abs(v[k_off]) for v in (traj.a_minus, traj.a_plus, traj.b)) > 0.05
         assert np.all(np.diff(quanta) <= 1e-12)
+
+    @pytest.mark.parametrize("t0", [0.0, 2.5e-9, -3e-7, 1e-3])
+    @pytest.mark.parametrize("cfg", [Configuration.ANTI_STOKES, Configuration.STOKES])
+    def test_time_axis_and_zero_start(self, cfg, t0):
+        """Every step is recorded, at t0 + k dt exactly, from empty modes."""
+        op = make_rates_op(cfg, cooperativity=0.3)
+        dt = _dt_for(op)
+        n = _BLOCK + 7
+        drives = {"microwave": lambda t: 0.6 + 0.2j}
+        traj = integrate(op, None, drives, (t0, t0 + (n - 0.5) * dt), dt)
+        assert np.array_equal(traj.t, t0 + np.arange(n + 1) * dt)
+        for v in (traj.a_minus, traj.a_plus, traj.b):
+            assert v.shape == (n + 1,)
+            assert v[0] == 0.0
+        assert abs(traj.b[-1]) > 0.0
 
     def test_step_validation(self):
         op = make_rates_op(Configuration.ANTI_STOKES)
         with pytest.raises(ValueError):
             integrate(op, None, {}, (0.0, 1e-6), 1.0 / op.kappa_m)
-
-
-def _ramp(t_end):
-    """Raised-cosine coupling ramp over [0, t_end]."""
-    return lambda t: 0.5 * (1.0 - math.cos(math.pi * min(t / t_end, 1.0)))
 
 
 def _assert_close_trajectories(traj, ref):
@@ -443,10 +442,7 @@ class TestStepperMatchesReference:
 
     @pytest.mark.parametrize("cfg", [Configuration.ANTI_STOKES, Configuration.STOKES])
     @pytest.mark.parametrize("ports", [("optical",), ("microwave",), ("optical", "microwave")])
-    @pytest.mark.parametrize("initial", [None, StateVector(0.3 - 0.2j, -0.1 + 0.4j, 0.5 + 0.25j)])
-    @pytest.mark.parametrize("record_every", [1, 7])
-    @pytest.mark.parametrize("ramped", [False, True])
-    def test_integrate(self, cfg, ports, initial, record_every, ramped):
+    def test_integrate(self, cfg, ports):
         op = make_rates_op(cfg, cooperativity=0.3)
         nu = 0.7 * op.kappa_m
         carrier = op.splitting + nu if cfg is Configuration.ANTI_STOKES else nu - op.splitting
@@ -459,11 +455,29 @@ class TestStepperMatchesReference:
         dt = _dt_for(op, extra, optical_drive="optical" in ports)
         t0 = 2.5e-9
         t_span = (t0, t0 + (_BLOCK + 1500.5) * dt)  # spans a block boundary
-        g_env = _ramp(t_span[1]) if ramped else None
-        kwargs = dict(g_envelope=g_env, initial=initial, record_every=record_every,
-                      max_drive_freq=extra)
-        traj = integrate(op, None, drives, t_span, dt, **kwargs)
-        ref = _integrate_ref(op, None, drives, t_span, dt, **kwargs)
+        traj = integrate(op, None, drives, t_span, dt, max_drive_freq=extra)
+        ref = _integrate_ref(op, None, drives, t_span, dt, max_drive_freq=extra)
+        _assert_close_trajectories(traj, ref)
+
+    @pytest.mark.parametrize("n", [1, _CHECK_EVERY, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+    @pytest.mark.parametrize("cfg", [Configuration.ANTI_STOKES, Configuration.STOKES])
+    def test_integrate_lengths(self, cfg, n):
+        """Runs that end inside, on and just past a block boundary record
+        n + 1 samples that match the reference loop."""
+        op = make_rates_op(cfg, cooperativity=0.3)
+        nu = 0.7 * op.kappa_m
+        carrier = op.splitting + nu if cfg is Configuration.ANTI_STOKES else nu - op.splitting
+        drives = {
+            "optical": lambda t: 0.8 * cmath.exp(-1j * carrier * t),
+            "microwave": lambda t: (0.6 + 0.2j) * cmath.exp(-1j * nu * t),
+        }
+        extra = abs(carrier) / TWO_PI
+        dt = _dt_for(op, extra, optical_drive=True)
+        t0 = 2.5e-9
+        t_span = (t0, t0 + (n - 0.5) * dt)
+        traj = integrate(op, None, drives, t_span, dt, max_drive_freq=extra)
+        ref = _integrate_ref(op, None, drives, t_span, dt, max_drive_freq=extra)
+        assert traj.t.shape == (n + 1,)
         _assert_close_trajectories(traj, ref)
 
     @pytest.mark.parametrize("fast", [False, True])
@@ -664,6 +678,26 @@ class TestPulsed:
         tau = report.parameters["tau_rc"]
         assert tau == pytest.approx(30e-9, rel=0.05)
         assert 27e-9 - 3e-9 <= 30e-9 <= 35e-9 + 4e-9  # paper bracket containment
+
+    @pytest.mark.parametrize("tau_rc", [20e-9, 30e-9])
+    def test_pulse_starts_at_three_tau_rc(self, tau_rc):
+        """The trajectory is sampled 24 times per acoustic carrier cycle from
+        t = 0; nothing is converted before the pump pulse opens at 3 tau_rc."""
+        dev = make_paper_device()
+        pulse = PulseSequence(1e-6, 100e3)
+        lockin = LockInConfig(TWO_PI * 3.48e9, tau_rc)
+        duration = 0.2e-6
+        t, amp, _ = pulsed_downconversion(
+            dev, pulse, optical_input_flux=1e12, lockin=lockin,
+            pump_power=0.05, duration=duration,
+        )
+        f_carrier = operating_point(dev, PumpConfig(Configuration.STOKES, 0.05)).omega_m / TWO_PI
+        dt = 1.0 / (24 * f_carrier)
+        assert t[0] == 0.0 and t[1] == dt
+        assert t[-1] >= 3.0 * tau_rc + duration > t[-2]
+        t_start = 3.0 * tau_rc
+        assert np.all(amp[t < t_start] == 0.0)
+        assert np.all(amp[t > t_start + dt] > 0.0)
 
     def test_zero_optical_input(self):
         dev = make_paper_device()
