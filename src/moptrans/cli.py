@@ -6,6 +6,13 @@ a header row; floats are printed with 12 significant digits so identical
 configs produce byte-identical files; `pulse` keeps every k-th lock-in
 sample and the last, k = max(1, floor(lockin_tau_s / (100 dt))) for the
 integrator step dt, and writes the steps, dt and k in a '# diag:' line.
+The `budget` JSON writes the model's records field for field: `efficiency`
+is `response.EfficiencyBudget` plus `eta_tot_db`, `added_noise` is
+`quantumstats.NoiseReport`, and `pair_generation` (Stokes only) is
+`quantumstats.PairRate` plus the zero-offset g2 cross-correlation and its
+Cauchy-Schwarz test; `thermal` holds the acoustic mode's occupancy and
+decoherence rate.  With the pump off, `efficiency` has no `eta_tot_db` and
+empty `stages`, and `added_noise` and `pair_generation` are null.
 Exit codes: 0 success, 1 config or usage error, 2 numerical
 non-convergence, 3 physical instability.
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 
@@ -30,6 +38,7 @@ from .model import (
     PumpConfig,
     dbm_to_watts,
     linear_to_db,
+    photon_flux,
 )
 
 
@@ -154,16 +163,7 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
     _require_zero_pump_detuning(cfg, "pulse")
     on_s, rep_hz, tau_s = cfg.require("pulse_on_s", "pulse_rep_hz", "lockin_tau_s")
     try:
-        pulse = timedomain.PulseSequence(
-            tau_on=float(on_s),
-            f_rep=float(rep_hz),
-            shape=(
-                timedomain.EnvelopeShape.RAISED_COSINE
-                if cfg.get("pulse_edge_s", 0.0) > 0.0
-                else timedomain.EnvelopeShape.RECT
-            ),
-            edge_time=float(cfg.get("pulse_edge_s", 0.0)),
-        )
+        pulse = timedomain.PulseSequence(float(on_s), float(rep_hz), float(cfg.get("pulse_edge_s", 0.0)))
     except ValueError as exc:
         raise ConfigError(f"invalid pulse sequence: {exc}") from exc
     duration = cfg.get("sim_duration_s")
@@ -176,18 +176,18 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
 
     input_dbm = float(cfg.get("input_power_dbm", -30.0))
     input_watts = dbm_to_watts(input_dbm)
-    from .model import photon_flux
-
     flux = photon_flux(device.losses.eta_fiber_chip * input_watts, cfg.pump.omega_l_effective)
-
-    t, amp, phase = timedomain.pulsed_downconversion(
-        device,
-        pulse,
-        optical_input_flux=flux,
-        lockin=lockin,
-        pump_power=cfg.pump.power_in,
-        duration=float(duration) if duration is not None else None,
-    )
+    try:
+        t, amp, phase = timedomain.pulsed_downconversion(
+            device,
+            pulse,
+            optical_input_flux=flux,
+            lockin=lockin,
+            pump_power=cfg.pump.power_in,
+            duration=float(duration) if duration is not None else None,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{exc}: shorten lockin_tau_s or sim_duration_s") from exc
     dt = float(t[1])
     stride = max(1, int(lockin.tau_rc / (100.0 * dt)))
     keep = np.append(np.arange(0, t.size - 1, stride), t.size - 1)
@@ -198,8 +198,6 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
 
 
 def _read_csv_columns(path, n_cols: int) -> list[np.ndarray]:
-    import io
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             body = "\n".join(l for l in fh.read().splitlines() if not l.startswith("#"))
@@ -261,62 +259,32 @@ def _fit(cfg: RunConfig | None, kind: str, data) -> calibrate.FitReport:
 def cmd_budget(cfg: RunConfig, args) -> int:
     _require_zero_pump_detuning(cfg, "budget")
     device, pump = cfg.device, cfg.pump
-    if pump.power_in == 0.0:
-        budget_payload = {
-            "eta_int": 0.0, "eta_ext": response.offchip_efficiency(device, pump).eta_ext,
-            "eta_oc": 0.0, "eta_tot": 0.0, "eta_tot_linearized": 0.0,
-            "cooperativity": 0.0, "n_bar": 0.0, "stages": {},
-        }
-        pair_payload = None
-        noise_payload = None
-    else:
-        budget = response.offchip_efficiency(device, pump)
-        budget_payload = {
-            "eta_int": budget.eta_int,
-            "eta_ext": budget.eta_ext,
-            "eta_oc": budget.eta_oc,
-            "eta_tot": budget.eta_tot,
-            "eta_tot_db": linear_to_db(budget.eta_tot) if budget.eta_tot > 0 else None,
-            "eta_tot_linearized": budget.eta_tot_linearized,
-            "cooperativity": budget.cooperativity,
-            "n_bar": budget.n_bar,
-            "stages": budget.stages,
-        }
-        env = quantumstats.ThermalEnvironment(cfg.temperature)
-        n_opt = float(cfg.get("n_optical_in", 0.0))
-        noise = quantumstats.added_noise(device, pump, 0.0, env, n_opt)
-        noise_payload = {
-            "n_added_up": noise.n_added_up,
-            "n_added_down": noise.n_added_down,
-            "breakdown_up": noise.breakdown_up,
-            "breakdown_down": noise.breakdown_down,
-        }
-        if pump.configuration is Configuration.STOKES:
-            rate = quantumstats.pair_rate(device, pump)
-            n_th = env.occupancy(device.transduction_mode.omega_m)
-            g2 = quantumstats.g2_cross(device, pump, 0.0, n_th)
-            pair_payload = {
-                "closed_form": rate.closed_form,
-                "numeric": rate.numeric,
-                "alternate_convention": rate.alternate_convention,
-                "convention": rate.convention,
-                "note": rate.note,
-                "g2_cross_zero_offset": g2,
-                "cauchy_schwarz_violated": quantumstats.cauchy_schwarz_violated(g2),
-                "cauchy_schwarz_assumption": "g2_aa = g2_cc = 2 (thermal marginals)",
-            }
-        else:
-            pair_payload = None
-
     mode = device.transduction_mode
-    temp = cfg.temperature
-    n_th = quantumstats.n_thermal(mode.omega_m, temp) if temp > 0 else 0.0
+    env = quantumstats.ThermalEnvironment(cfg.temperature)
+    n_th = env.occupancy(mode.omega_m)
+    budget = response.offchip_efficiency(device, pump)
+    efficiency = dataclasses.asdict(budget)
+    noise = pairs = None
+    if pump.power_in == 0.0:
+        efficiency["stages"] = {}
+    else:
+        efficiency["eta_tot_db"] = linear_to_db(budget.eta_tot) if budget.eta_tot > 0 else None
+        n_opt = float(cfg.get("n_optical_in", 0.0))
+        noise = dataclasses.asdict(quantumstats.added_noise(device, pump, 0.0, env, n_opt))
+        if pump.configuration is Configuration.STOKES:
+            pairs = dataclasses.asdict(quantumstats.pair_rate(device, pump))
+            g2 = quantumstats.g2_cross(device, pump, 0.0, n_th)
+            pairs.update(
+                g2_cross_zero_offset=g2,
+                cauchy_schwarz_violated=quantumstats.cauchy_schwarz_violated(g2),
+                cauchy_schwarz_assumption="g2_aa = g2_cc = 2 (thermal marginals)",
+            )
     payload = {
-        "efficiency": budget_payload,
-        "pair_generation": pair_payload,
-        "added_noise": noise_payload,
+        "efficiency": efficiency,
+        "pair_generation": pairs,
+        "added_noise": noise,
         "thermal": {
-            "temperature_k": temp,
+            "temperature_k": cfg.temperature,
             "n_thermal": n_th,
             "decoherence_rate_hz": quantumstats.decoherence_rate(mode.kappa_m, n_th),
         },

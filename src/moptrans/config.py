@@ -62,8 +62,6 @@ _SCHEMA: dict[str, tuple[type, bool]] = {
     "n_optical_in": (float, False),
 }
 
-_UNIT_SUFFIXES = ("_hz", "_dbm", "_db", "_k", "_s", "_kg")
-_DIMENSIONLESS = {"pump_config", "grid_points", "power_points", "n_optical_in"}
 _NON_NEGATIVE = ("temperature_k", "n_optical_in", "pulse_edge_s")
 
 
@@ -132,8 +130,6 @@ def _validate_keys(raw: dict) -> None:
     for key in raw:
         if key not in _SCHEMA and not _MODE_RE.match(key):
             raise ConfigError(f"unknown config key {key!r}")
-        if key not in _DIMENSIONLESS and not any(key.endswith(s) for s in _UNIT_SUFFIXES):
-            raise ConfigError(f"key {key!r} lacks a unit suffix ({', '.join(_UNIT_SUFFIXES)})")
         value = raw[key]
         switched_off = value == -math.inf and key.endswith(("_dbm", "_db"))  # e.g. pump off
         if isinstance(value, float) and not (math.isfinite(value) or switched_off):

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import InstabilityError
+
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J/K
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -32,6 +34,13 @@ class Configuration(Enum):
 
     ANTI_STOKES = "antistokes"
     STOKES = "stokes"
+
+
+def check_stokes_threshold(configuration: Configuration, cooperativity: float) -> None:
+    """Raise InstabilityError for Stokes pumping at C >= 1, where the
+    two-mode-squeezing gain is above its parametric threshold."""
+    if configuration is Configuration.STOKES and cooperativity >= 1.0:
+        raise InstabilityError(f"Stokes pumping at C = {cooperativity!r} >= 1 is above threshold")
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,6 @@ def pair_rate_from_rates(op: OperatingPoint, points_per_linewidth: int = 16, spa
     operating point; see PairRate for conventions."""
     if op.configuration is not Configuration.STOKES:
         raise ValueError("pair generation requires the Stokes configuration")
-    c = op.cooperativity
-    if c >= 1.0:
-        raise InstabilityError(f"Stokes pumping at C = {c!r} >= 1 is above threshold")
-
     eta0 = float(eta_spectrum_from_rates(op, 0.0))
     closed = (
         0.5

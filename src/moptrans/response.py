@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InstabilityError
 from .hybridize import OperatingPoint, operating_point
-from .model import HBAR, Configuration, DeviceParams, PumpConfig
+from .model import HBAR, Configuration, DeviceParams, PumpConfig, check_stokes_threshold
 
 PORTS = ("optical", "microwave")
 _BLOCK = 4096  # grid points per block of an efficiency spectrum
@@ -111,10 +110,9 @@ def eta_internal(c: float, configuration: Configuration) -> float:
     - Stokes).  Stokes operation at C >= 1 is parametrically unstable."""
     if c < 0.0:
         raise ValueError("cooperativity must be non-negative")
+    check_stokes_threshold(configuration, c)
     if configuration is Configuration.ANTI_STOKES:
         return 4.0 * c / (1.0 + c) ** 2
-    if c >= 1.0:
-        raise InstabilityError(f"Stokes pumping at C = {c!r} >= 1 is above threshold")
     return 4.0 * c / (1.0 - c) ** 2
 
 
@@ -126,20 +124,13 @@ def _chi(omega, kappa):
     return 1.0 / (-1j * omega + 0.5 * kappa)
 
 
-def _check_stokes_stability(op: OperatingPoint) -> None:
-    if op.configuration is Configuration.STOKES and op.cooperativity >= 1.0:
-        raise InstabilityError(
-            f"Stokes pumping at C = {op.cooperativity!r} >= 1 is above threshold"
-        )
-
-
 def transfer_from_rates(op: OperatingPoint, from_port: str, to_port: str, omega):
     """Closed-form S parameter at signal offset `omega` (scalar or array)
     for the given port pair; see the module docstring for conventions."""
     for p in (from_port, to_port):
         if p not in PORTS:
             raise ValueError(f"unknown port {p!r}")
-    _check_stokes_stability(op)
+    check_stokes_threshold(op.configuration, op.cooperativity)
 
     omega = np.asarray(omega, dtype=float)
     chi_m = _chi(omega, op.kappa_m)
@@ -210,7 +201,6 @@ def offchip_efficiency(params: DeviceParams, pump: PumpConfig) -> EfficiencyBudg
     low-cooperativity linearized closed form.
     """
     op = operating_point(params, pump)
-    _check_stokes_stability(op)
     c = op.cooperativity
     eta_int_val = eta_internal(c, pump.configuration)
     eta_o = op.kappa_ex_active / op.kappa_active

@@ -39,35 +39,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InstabilityError
 from .hybridize import OperatingPoint, operating_point
-from .model import TWO_PI, Configuration, DeviceParams, PumpConfig
+from .model import TWO_PI, Configuration, DeviceParams, PumpConfig, check_stokes_threshold
 
 _OVERFLOW = 1e12
 _CHECK_EVERY = 256
 _BLOCK = 16 * _CHECK_EVERY  # steps per block: bounds the temporaries
 _CHUNK = 64  # steps per chunk of `_recur`
 _PAIR_CHUNK = 32  # steps per chunk of `_scan_pair`
-
-
-class EnvelopeShape(Enum):
-    RECT = "rect"
-    RAISED_COSINE = "raised-cosine"
+_MAX_PULSE_STEPS = 2 ** 23  # longest pulsed window: about 1.3 GB of trajectory and lock-in arrays
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Pump gating: on-time tau_on [s], repetition rate f_rep [Hz] and the
-    envelope shape (raised-cosine edges of duration edge_time)."""
+    """Pump gating: on-time tau_on [s], repetition rate f_rep [Hz] and edge
+    time [s].  edge_time > 0 gives raised-cosine edges of that duration
+    (at most tau_on/2); edge_time = 0 a rectangular pulse."""
 
     tau_on: float
     f_rep: float
-    shape: EnvelopeShape = EnvelopeShape.RECT
     edge_time: float = 0.0
 
     def __post_init__(self):
@@ -75,8 +70,8 @@ class PulseSequence:
             raise ValueError("tau_on and f_rep must be positive")
         if self.tau_on * self.f_rep > 1.0:
             raise ValueError("duty cycle tau_on * f_rep exceeds one")
-        if self.shape is EnvelopeShape.RAISED_COSINE and not 0.0 < self.edge_time <= self.tau_on / 2.0:
-            raise ValueError("raised-cosine edges need 0 < edge_time <= tau_on/2")
+        if not 0.0 <= self.edge_time <= self.tau_on / 2.0:
+            raise ValueError("edge_time must lie in [0, tau_on/2]")
 
     def envelope(self, t, t_start: float = 0.0):
         """Dimensionless pump envelope in [0, 1] for the pulse beginning at
@@ -85,7 +80,7 @@ class PulseSequence:
         array."""
         u = np.asarray(t, dtype=float) - t_start
         env = np.ones_like(u)
-        if self.shape is EnvelopeShape.RAISED_COSINE:
+        if self.edge_time > 0.0:
             e = self.edge_time
             rise = 0.5 * (1.0 - np.cos(np.pi * u / e))
             fall = 0.5 * (1.0 - np.cos(np.pi * (self.tau_on - u) / e))
@@ -374,20 +369,22 @@ def pulsed_downconversion(
     the lower supermode; the converted microwave output at the acoustic
     carrier is synthesized as a real waveform and demodulated by the
     lock-in model.  The pulse starts at 3 tau_rc, and the integrator
-    takes 24 steps per acoustic carrier cycle.
+    takes 24 steps per acoustic carrier cycle; a window of more than
+    _MAX_PULSE_STEPS steps raises ValueError before anything is allocated.
 
     Returns (t, amplitude, phase).
     """
     pump = PumpConfig(Configuration.STOKES, pump_power)
     op = operating_point(params, pump)
-    if op.cooperativity >= 1.0:
-        raise InstabilityError("pulsed pump peak power is above the Stokes threshold")
+    check_stokes_threshold(op.configuration, op.cooperativity)
 
     f_carrier = op.omega_m / TWO_PI
     dt = 1.0 / (24 * f_carrier)
     t_start = 3.0 * lockin.tau_rc
     t_end = t_start + (duration if duration is not None else min(pulse.tau_on, 1.0e-6) + 10.0 * lockin.tau_rc)
     n = int(math.ceil(t_end / dt))
+    if n > _MAX_PULSE_STEPS:
+        raise ValueError(f"the pulsed window needs {n} integrator steps, more than {_MAX_PULSE_STEPS}")
 
     # intracavity pump ring-up -> g_-(t); a_plus is pumped under Stokes
     kp = 0.5 * op.kappa_plus

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 import moptrans
 from moptrans.calibrate import doublet_transmission, rc_step_model, s11_model
 from moptrans.cli import main
-from moptrans.config import load_config, parse_flat_toml
+from moptrans.config import _MODE_RE, _SCHEMA, load_config, parse_flat_toml
 from moptrans.errors import ConfigError
 from moptrans.model import TWO_PI
 
@@ -133,6 +134,13 @@ class TestConfigParsing:
         path = write_config(tmp_path, PAPER_CONFIG + "\ngrid_start = 1.0\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_keys_carry_unit_suffixes(self):
+        dimensionless = {"pump_config", "grid_points", "power_points", "n_optical_in"}
+        mode_suffixes = re.search(r"_\(([\w|]+)\)\$$", _MODE_RE.pattern).group(1).split("|")
+        assert len(mode_suffixes) == 4 and dimensionless <= _SCHEMA.keys()
+        for key in [*(_SCHEMA.keys() - dimensionless), *mode_suffixes]:
+            assert key.endswith(("_hz", "_dbm", "_db", "_k", "_s", "_kg")), key
 
     def test_missing_required_key(self, tmp_path):
         broken = PAPER_CONFIG.replace('pump_config = "antistokes"\n', "")
@@ -348,6 +356,26 @@ class TestPulseCommand:
         assert main(["pulse", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_step_cap_is_config_error(self, tmp_path, capsys):
+        """A lock-in time constant of 1 s asks for about 1e12 steps: exit 1
+        naming the keys that set the window, before anything is allocated."""
+        text = PAPER_CONFIG.replace("lockin_tau_s = 30.0e-9", "lockin_tau_s = 1.0")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "pulse.csv"
+        assert main(["pulse", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"config error: .*needs \d{13} integrator steps", err)
+        assert "lockin_tau_s" in err and "sim_duration_s" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_stokes_instability_message(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PAPER_CONFIG.replace("g0_hz = 42.0", "g0_hz = 4.2e6"))
+        out = tmp_path / "pulse.csv"
+        assert main(["pulse", "--config", str(cfg), "--out", str(out)]) == 3
+        assert re.search(r"instability: Stokes pumping at C = \S+ >= 1 is above threshold",
+                         capsys.readouterr().err)
         assert not out.exists()
 
     def run_decimated(self, tmp_path, monkeypatch):
@@ -596,6 +624,33 @@ class TestBudgetCommand:
         assert all(off["efficiency"][k] == 0.0 for k in ("eta_int", "eta_oc", "eta_tot", "cooperativity"))
         assert off["pair_generation"] is None and off["added_noise"] is None
         assert off["thermal"] == on["thermal"]
+
+    @pytest.mark.parametrize("dbm", ["21.0", "-inf"])
+    @pytest.mark.parametrize("conf", ["antistokes", "stokes"])
+    def test_section_keys(self, tmp_path, conf, dbm):
+        text = PAPER_CONFIG.replace('"antistokes"', f'"{conf}"')
+        cfg = write_config(tmp_path, text.replace("pump_power_dbm = 21.0", f"pump_power_dbm = {dbm}"))
+        out = tmp_path / "budget.json"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        pumped = dbm != "-inf"
+        assert report.keys() == {"efficiency", "pair_generation", "added_noise", "thermal", "config_sha256"}
+        eff = report["efficiency"]
+        assert eff.keys() == {"eta_int", "eta_ext", "eta_oc", "eta_tot", "eta_tot_linearized",
+                              "cooperativity", "n_bar", "stages"} | ({"eta_tot_db"} if pumped else set())
+        assert eff["stages"].keys() == ({"eta_probes", "eta_fiber_chip", "eta_o", "eta_m", "C0", "n_bar",
+                                         "sideband_resolution"} if pumped else set())
+        assert report["thermal"].keys() == {"temperature_k", "n_thermal", "decoherence_rate_hz"}
+        if not pumped:
+            assert report["added_noise"] is None and report["pair_generation"] is None
+            return
+        assert report["added_noise"].keys() == {"n_added_up", "n_added_down", "breakdown_up", "breakdown_down"}
+        if conf == "antistokes":
+            assert report["pair_generation"] is None
+        else:
+            assert report["pair_generation"].keys() == {
+                "closed_form", "numeric", "alternate_convention", "convention", "note",
+                "g2_cross_zero_offset", "cauchy_schwarz_violated", "cauchy_schwarz_assumption"}
 
     def test_missing_config_file(self, tmp_path):
         assert main(["budget", "--config", str(tmp_path / "nope.toml"),

@@ -11,7 +11,6 @@ from moptrans.hybridize import OperatingPoint, operating_point
 from moptrans.model import TWO_PI, Configuration, DeviceParams, PumpConfig
 from moptrans.response import transfer_from_rates
 from moptrans.timedomain import (
-    EnvelopeShape,
     LockInConfig,
     PulseSequence,
     lockin_demodulate,
@@ -21,6 +20,7 @@ from moptrans.timedomain import (
     _BLOCK,
     _CHECK_EVERY,
     _CHUNK,
+    _MAX_PULSE_STEPS,
     _OVERFLOW,
     _PAIR_CHUNK,
     _recur,
@@ -28,6 +28,10 @@ from moptrans.timedomain import (
 )
 
 from conftest import make_paper_device, make_rates_op
+
+# a rectangular pulse and one with raised-cosine edges; the ids name the
+# shape each edge-time flag gives
+SHAPES = [pytest.param(False, id="EnvelopeShape.RECT"), pytest.param(True, id="EnvelopeShape.RAISED_COSINE")]
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +44,7 @@ def _envelope_ref(pulse: PulseSequence, t: float, t_start: float = 0.0) -> float
     u = t - t_start
     if u < 0.0 or u > pulse.tau_on:
         return 0.0
-    if pulse.shape is EnvelopeShape.RECT:
+    if pulse.edge_time == 0.0:
         return 1.0
     e = pulse.edge_time
     if u < e:
@@ -481,8 +485,8 @@ class TestStepperMatchesReference:
         _assert_close_trajectories(traj, ref)
 
     @pytest.mark.parametrize("fast", [False, True])
-    @pytest.mark.parametrize("shape", [EnvelopeShape.RECT, EnvelopeShape.RAISED_COSINE])
-    def test_pulsed(self, fast, shape):
+    @pytest.mark.parametrize("edged", SHAPES)
+    def test_pulsed(self, fast, edged):
         from moptrans.model import AcousticMode, OpticalModeBare
 
         dev, power = make_paper_device(), 0.126
@@ -491,7 +495,7 @@ class TestStepperMatchesReference:
             wide = OpticalModeBare(dev.left.omega, TWO_PI * 740e6, TWO_PI * 60e6)
             dev, power = DeviceParams(wide, wide, dev.coupling_j, (fast_mode,), dev.g0, dev.losses), 0.05
         # a short pulse so both edges fall inside the window
-        pulse = PulseSequence(0.25e-6, 100e3, shape, edge_time=60e-9 if shape is EnvelopeShape.RAISED_COSINE else 0.0)
+        pulse = PulseSequence(0.25e-6, 100e3, edge_time=60e-9 if edged else 0.0)
         lockin = LockInConfig(TWO_PI * 3.48e9, 30e-9)
         args = (dev, pulse, 1e12, lockin, power, 0.45e-6)
         t, amp, phase = pulsed_downconversion(*args)
@@ -637,16 +641,20 @@ class TestPulsed:
         rect = PulseSequence(1e-6, 100e3)
         assert rect.envelope(0.5e-6) == 1.0
         assert rect.envelope(-1e-9) == 0.0
-        cos = PulseSequence(1e-6, 100e3, EnvelopeShape.RAISED_COSINE, edge_time=100e-9)
+        cos = PulseSequence(1e-6, 100e3, edge_time=100e-9)
         assert cos.envelope(50e-9) == pytest.approx(0.5, abs=1e-12)
         assert cos.envelope(0.5e-6) == 1.0
+        assert PulseSequence(1e-6, 100e3, edge_time=0.5e-6).envelope(0.5e-6) == 1.0
+        for edge in (-1e-9, 0.6e-6):
+            with pytest.raises(ValueError, match="edge_time"):
+                PulseSequence(1e-6, 100e3, edge_time=edge)
 
-    @pytest.mark.parametrize("shape", [EnvelopeShape.RECT, EnvelopeShape.RAISED_COSINE])
-    def test_array_envelope(self, shape):
+    @pytest.mark.parametrize("edged", SHAPES)
+    def test_array_envelope(self, edged):
         """An array of times gives the scalar values elementwise, and those
         agree with the scalar envelope the integrator used to call."""
-        e = 100e-9 if shape is EnvelopeShape.RAISED_COSINE else 0.0
-        pulse = PulseSequence(1e-6, 100e3, shape, edge_time=e)
+        e = 100e-9 if edged else 0.0
+        pulse = PulseSequence(1e-6, 100e3, edge_time=e)
         t_start = 40e-9
         u = np.array([-1e-9, 0.0, 0.5 * e, e, 0.5e-6, 1e-6 - e, 1e-6 - 0.5 * e, 1e-6, 1e-6 + 1e-12, 3e-6])
         u = np.concatenate([u, np.linspace(-0.1e-6, 1.1e-6, 241)])
@@ -698,6 +706,16 @@ class TestPulsed:
         t_start = 3.0 * tau_rc
         assert np.all(amp[t < t_start] == 0.0)
         assert np.all(amp[t > t_start + dt] > 0.0)
+
+    @pytest.mark.parametrize("tau_rc, duration", [(1.0, None), (30e-9, 1.0)])
+    def test_step_cap(self, tau_rc, duration):
+        """A window of more than _MAX_PULSE_STEPS steps is refused before
+        any trajectory is allocated."""
+        dev = make_paper_device()
+        lockin = LockInConfig(TWO_PI * 3.48e9, tau_rc)
+        with pytest.raises(ValueError, match=rf"needs \d+ integrator steps, more than {_MAX_PULSE_STEPS}$"):
+            pulsed_downconversion(dev, PulseSequence(1e-6, 100e3), optical_input_flux=1e12,
+                                  lockin=lockin, pump_power=0.05, duration=duration)
 
     def test_zero_optical_input(self):
         dev = make_paper_device()
