@@ -2,12 +2,13 @@
 
 One backend serves every fit, one fit function per CLI `fit` kind
 (doublet, s11, power, step).  The nonlinear fitters share one damped
-least-squares solver (scipy's trust-region reflective solver with
-numerically differenced Jacobians, which is the bounded flavor of
-Levenberg-Marquardt damping): convergence at relative cost change < 1e-10
-or gradient norm < 1e-8, evaluation cap 500 per parameter.  Scipy is
-imported on the first fit, so the verbs that never fit do not load it;
-nothing else in the package uses it.  The backend raises
+least-squares solver (scipy's trust-region reflective solver, the bounded
+flavor of Levenberg-Marquardt damping): convergence at relative cost
+change < 1e-10 or gradient norm < 1e-8, evaluation cap 500 per parameter.
+Each fit passes the analytic Jacobian of its model; the single-spectrum
+doublet fit, whose parameters are degenerate, is differenced ("2-point").
+Scipy is imported on the first fit, so the verbs that never fit do not
+load it; nothing else in the package uses it.  The backend raises
 ConvergenceError when the solver stops without converging, so every
 report it returns has converged.  Covariances come from the Gauss-Newton
 approximation sigma^2 (J^T J)^-1 with sigma^2 the reduced residual
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .hybridize import supermodes
-from .model import HBAR, OpticalModeBare
+from .model import HBAR
 
 _FTOL = 1e-10
 _GTOL = 1e-8
@@ -69,39 +70,25 @@ def _report(units: dict, values, variances, residual_norm, nfev, flags=()) -> Fi
     if missing:
         flags = (*flags, "singular-covariance: J^T J is not invertible; no variance for "
                  + ", ".join(missing))
-    return FitReport(
-        parameters=dict(zip(names, map(float, values))),
-        units=units,
-        residual_norm=residual_norm,
-        iterations=nfev,
-        converged=True,
-        covariance_diag=cov,
-        flags=tuple(flags),
-    )
+    return FitReport(parameters=dict(zip(names, map(float, values))), units=units,
+                     residual_norm=residual_norm, iterations=nfev, converged=True,
+                     covariance_diag=cov, flags=tuple(flags))
 
 
-def _run_fit(residual_fn, x0, bounds, what: str):
-    """Shared backend; returns (values, variances, residual norm, nfev) and
-    raises ConvergenceError('<what> did not converge')."""
-    import warnings
-
+def _run_fit(residual_fn, jac, x0, bounds, what: str):
+    """Shared backend; `jac` is the Jacobian of `residual_fn`, or a scipy
+    difference scheme.  Returns (values, variances, residual norm, nfev)
+    and raises ConvergenceError('<what> did not converge')."""
     from scipy.optimize import least_squares
 
     with warnings.catch_warnings():
-        # scipy's TR subproblem divides by a zero boundary step when part
-        # of the Jacobian vanishes (e.g. samples before a step edge)
+        # scipy's trust-region subproblem can overflow, then divide by zero,
+        # in phi_and_derivative on step data, with the exact Jacobian as with
+        # differences (seed 301, dataset 46 of the benchmark's step files)
         warnings.filterwarnings("ignore", category=RuntimeWarning,
                                 module=r"scipy\.optimize.*")
-        result = least_squares(
-            residual_fn,
-            x0,
-            bounds=bounds,
-            method="trf",
-            ftol=_FTOL,
-            gtol=_GTOL,
-            xtol=None,
-            max_nfev=_MAX_NFEV * len(x0),
-        )
+        result = least_squares(residual_fn, x0, jac=jac, bounds=bounds, method="trf", ftol=_FTOL,
+                               gtol=_GTOL, xtol=None, max_nfev=_MAX_NFEV * len(x0))
     if result.status <= 0:
         raise ConvergenceError(f"{what} did not converge")
     m, n = result.fun.size, len(x0)
@@ -121,6 +108,18 @@ def _run_fit(residual_fn, x0, bounds, what: str):
 # optical doublet
 # ---------------------------------------------------------------------------
 
+def _doublet_s21(omega, kappa_l, kappa_r, kappa_ex, coupling_j, delta, omega_center):
+    """S21 = 1 - kex (a + b)/(ab + J^2) = 1 - kex_- chi_- - kex_+ chi_+ at equal
+    per-ring kex (the trace of the 2x2 resolvent), with a, b the bare-ring
+    inverse susceptibilities (intrinsic loss clamped at 1e-6 rad/s).
+    Returns S21, a, b, ab + J^2 and (a + b)/(ab + J^2)."""
+    a = 0.5 * (kappa_ex + max(kappa_l - kappa_ex, 1e-6)) - 1j * (omega - (omega_center + 0.5 * delta))
+    b = 0.5 * (kappa_ex + max(kappa_r - kappa_ex, 1e-6)) - 1j * (omega - (omega_center - 0.5 * delta))
+    det = a * b + coupling_j ** 2
+    ratio = (a + b) / det
+    return 1.0 - kappa_ex * ratio, a, b, det, ratio
+
+
 def doublet_transmission(omega, kappa_l, kappa_r, kappa_ex, coupling_j, delta, omega_center):
     """Power transmission |1 - kex_- chi_- - kex_+ chi_+|^2 of the
     hybridized doublet versus absolute angular frequency `omega`.
@@ -129,14 +128,27 @@ def doublet_transmission(omega, kappa_l, kappa_r, kappa_ex, coupling_j, delta, o
     external coupling, delta = omega_l - omega_r and omega_center the mean
     ring frequency.
     """
-    left = OpticalModeBare(omega_center + 0.5 * delta, max(kappa_l - kappa_ex, 1e-6), kappa_ex)
-    right = OpticalModeBare(omega_center - 0.5 * delta, max(kappa_r - kappa_ex, 1e-6), kappa_ex)
-    sm = supermodes(left, right, coupling_j)
     omega = np.asarray(omega, dtype=float)
-    chi_minus = 1.0 / (-1j * (omega - sm.omega_minus) + 0.5 * sm.kappa_minus)
-    chi_plus = 1.0 / (-1j * (omega - sm.omega_plus) + 0.5 * sm.kappa_plus)
-    s21 = 1.0 - sm.kappa_ex_minus * chi_minus - sm.kappa_ex_plus * chi_plus
+    s21 = _doublet_s21(omega, kappa_l, kappa_r, kappa_ex, coupling_j, delta, omega_center)[0]
     return np.abs(s21) ** 2
+
+
+def _doublet_sweep(omega, bias, theta):
+    """Model of the bias-sweep fit for all spectra in one pass: the stacked
+    transmissions and their Jacobian against theta = (kappa_l, kappa_r,
+    kappa_ex, J, delta, delta_slope, omega_center)."""
+    kl, kr, kex, j, d0, slope, c = theta
+    s21, a, b, det, ratio = _doublet_s21(omega, kl, kr, kex, j, d0 + slope * bias[:, None], c)
+    ds_da = -kex * (1.0 - ratio * b) / det  # dS21/da, dS21/db
+    ds_db = -kex * (1.0 - ratio * a) / det
+    free_l, free_r = kl - kex > 1e-6, kr - kex > 1e-6  # else the clamp follows kex
+    ds_ddelta = 0.5j * (ds_da - ds_db)
+    ds = np.stack([0.5 * free_l * ds_da, 0.5 * free_r * ds_db,
+                   0.5 * (not free_l) * ds_da + 0.5 * (not free_r) * ds_db - ratio,
+                   2.0 * kex * j * ratio / det, ds_ddelta, ds_ddelta * bias[:, None],
+                   1j * (ds_da + ds_db)], axis=-1)
+    jac = 2.0 * (s21.conj()[..., None] * ds).real
+    return np.abs(s21).ravel() ** 2, jac.reshape(-1, len(theta))
 
 
 def _local_minima(y, order):
@@ -208,9 +220,9 @@ def fit_doublet(omega, transmission, bias_axis=None) -> FitReport:
     splitting, mean linewidth, linewidth difference, external coupling);
     the bare-ring decomposition (kappa_l vs kappa_r, J vs delta) has an
     exact one-parameter degeneracy, so the per-spectrum result carries a
-    'degenerate-decomposition' flag and only the derived supermode
-    quantities are unique.  A bias sweep breaks the degeneracy: the joint
-    fit shares (kappa_l, kappa_r, kappa_ex, J, omega_center) across
+    'degenerate-decomposition' flag and no variances, and only the derived
+    supermode quantities are unique.  A bias sweep breaks the degeneracy:
+    the joint fit shares (kappa_l, kappa_r, kappa_ex, J, omega_center) across
     spectra with the ring detuning linear in bias, delta_i = delta +
     delta_slope * bias_i, and recovers every parameter uniquely.
     """
@@ -244,12 +256,11 @@ def _fit_doublet_single(omega, trans) -> FitReport:
     lower = np.array([1e-6 * kappa0, 1e-6 * kappa0, 1e-8 * kappa0, 0.0, -span, omega[0]])
     upper = np.array([100 * kappa0, 100 * kappa0, 50 * kappa0, 10 * span, span, omega[-1]])
 
-    def residuals(theta):
-        kl, kr, kex, j, d, c = theta
-        return doublet_transmission(omega, kl, kr, kex, j, d, c) - trans
-
-    x, variances, rnorm, nfev = _run_fit(residuals, x0, (lower, upper), "doublet fit")
-    x, variances = _canonical_ring_labels(x, variances)
+    x, _, rnorm, nfev = _run_fit(lambda theta: doublet_transmission(omega, *theta) - trans,
+                                 "2-point", x0, (lower, upper), "doublet fit")
+    # the degeneracy makes J^T J singular in exact arithmetic; whether its
+    # computed inverse fails depends only on rounding
+    x, variances = _canonical_ring_labels(x, np.full(6, np.nan))
     units = dict.fromkeys(("kappa_l", "kappa_r", "kappa_ex", "J", "delta", "omega_center"), "rad/s")
     return _report(units, x, variances, rnorm, nfev, flags)
 
@@ -258,33 +269,22 @@ def _canonical_ring_labels(x, variances):
     """Ring relabeling (kappa_l <-> kappa_r, delta -> -delta, slope ->
     -slope) is an exact model symmetry; report the kappa_l >= kappa_r
     branch."""
-    x = list(x)
-    variances = list(variances)
+    x, variances = np.array(x, dtype=float), np.array(variances, dtype=float)
     if x[0] < x[1]:
-        x[0], x[1] = x[1], x[0]
-        variances[0], variances[1] = variances[1], variances[0]
-        x[4] = -x[4]
-        if len(x) == 7:
-            x[5] = -x[5]
+        x[[0, 1]], variances[[0, 1]] = x[[1, 0]], variances[[1, 0]]
+        x[4:-1] *= -1.0  # delta, and a sweep's slope
     return x, variances
 
 
 def _fit_doublet_sweep(omega, stack, bias) -> FitReport:
     flags: list[str] = []
-    n_bias = stack.shape[0]
-    centers, splittings = [], []
-    kappa0 = kappa_ex0 = None
-    for i in range(n_bias):
-        c0, s0, k0, kex0 = _doublet_init(omega, stack[i], flags)
-        centers.append(c0)
-        splittings.append(s0)
-        if i == int(np.argmin([abs(b) for b in bias])):
-            kappa0, kappa_ex0 = k0, kex0
-    splittings = np.asarray(splittings)
+    inits = np.array([_doublet_init(omega, spectrum, flags) for spectrum in stack])
+    centers, splittings = inits[:, 0], inits[:, 1]
+    kappa0, kappa_ex0 = inits[np.argmin(np.abs(bias)), 2:]
     j0 = 0.5 * float(np.min(splittings))
     i_min = int(np.argmin(splittings))
     delta_mag = np.sqrt(np.clip(splittings ** 2 - 4.0 * j0 ** 2, 0.0, None))
-    signs = np.sign(np.arange(n_bias) - i_min)
+    signs = np.sign(np.arange(len(bias)) - i_min)
     signs[signs == 0] = 1.0
     delta_guess = signs * delta_mag
     slope0, delta00 = np.polyfit(bias, delta_guess, 1)
@@ -298,15 +298,11 @@ def _fit_doublet_sweep(omega, stack, bias) -> FitReport:
     upper = np.array([100 * kappa0, 100 * kappa0, 50 * kappa0, 10 * span,
                       10 * span, 10 * span / bias_scale, omega[-1]])
 
-    def residuals(theta):
-        kl, kr, kex, j, d0, dslope, c = theta
-        out = np.empty(stack.size)
-        for i in range(n_bias):
-            model = doublet_transmission(omega, kl, kr, kex, j, d0 + dslope * bias[i], c)
-            out[i * omega.size:(i + 1) * omega.size] = model - stack[i]
-        return out
-
-    x, variances, rnorm, nfev = _run_fit(residuals, x0, (lower, upper), "doublet sweep fit")
+    data = stack.ravel()
+    x, variances, rnorm, nfev = _run_fit(
+        lambda theta: _doublet_sweep(omega, bias, theta)[0] - data,
+        lambda theta: _doublet_sweep(omega, bias, theta)[1],
+        x0, (lower, upper), "doublet sweep fit")
     x, variances = _canonical_ring_labels(x, variances)
     names = ("kappa_l", "kappa_r", "kappa_ex", "J", "delta", "delta_slope", "omega_center")
     units = dict.fromkeys(names, "rad/s")
@@ -323,6 +319,14 @@ def s11_model(omega, omega_m, kappa_m, kappa_ex_m):
     omega = np.asarray(omega, dtype=float)
     chi = 1.0 / (-1j * (omega - omega_m) + 0.5 * kappa_m)
     return -1.0 + kappa_ex_m * chi
+
+
+def _s11_jac(omega, omega_m, kappa_m, kappa_ex_m):
+    """Jacobian of the stacked (real, imaginary) s11_model against
+    (omega_m, kappa_m, kappa_ex_m), from chi_m and chi_m^2."""
+    chi = 1.0 / (-1j * (omega - omega_m) + 0.5 * kappa_m)
+    d = np.column_stack([-1j * kappa_ex_m * chi ** 2, -0.5 * kappa_ex_m * chi ** 2, chi])
+    return np.concatenate([d.real, d.imag])
 
 
 def fit_s11(omega, s11) -> FitReport:
@@ -372,20 +376,17 @@ def fit_s11(omega, s11) -> FitReport:
         diff = s11_model(omega, *theta) - s11
         return np.concatenate([diff.real, diff.imag])
 
-    x, variances, rnorm, nfev = _run_fit(residuals, x0, (lower, upper), "S11 fit")
+    x, variances, rnorm, nfev = _run_fit(residuals, lambda theta: _s11_jac(omega, *theta),
+                                         x0, (lower, upper), "S11 fit")
     omega_m, kappa_m, kappa_ex_m = map(float, x)
     var_om, var_km, var_kexm = map(float, variances)
     q_m = omega_m / kappa_m
     eta_m = kappa_ex_m / kappa_m
     # first-order propagation for the derived quantities
     var_q = q_m ** 2 * (var_om / omega_m ** 2 + var_km / kappa_m ** 2)
-    var_eta = eta_m ** 2 * (
-        (var_kexm / kappa_ex_m ** 2 if kappa_ex_m > 0 else 0.0) + var_km / kappa_m ** 2
-    )
-    units = {
-        "omega_m": "rad/s", "kappa_m": "rad/s", "kappa_ex_m": "rad/s",
-        "Q_m": "1", "eta_m": "1",
-    }
+    var_eta = eta_m ** 2 * ((var_kexm / kappa_ex_m ** 2 if kappa_ex_m > 0 else 0.0)
+                            + var_km / kappa_m ** 2)
+    units = {"omega_m": "rad/s", "kappa_m": "rad/s", "kappa_ex_m": "rad/s", "Q_m": "1", "eta_m": "1"}
     return _report(units, (omega_m, kappa_m, kappa_ex_m, q_m, eta_m),
                    (var_om, var_km, var_kexm, var_q, var_eta), rnorm, nfev, flags)
 
@@ -438,35 +439,23 @@ def fit_efficiency_power(power_in, eta_tot, fixed: dict) -> FitReport:
         # deviation of the best power law from slope one
         coeffs = np.polyfit(np.log(p), np.log(eta), 1)
         if abs(coeffs[0] - 1.0) > 0.10:
-            flags.append(
-                f"out-of-regime: log-log slope {coeffs[0]:.3f} deviates from 1"
-            )
+            flags.append(f"out-of-regime: log-log slope {coeffs[0]:.3f} deviates from 1")
 
     ratio = eta / p
     slope = float(np.mean(ratio))
     residual = eta - slope * p
     rnorm = float(np.linalg.norm(residual))
+    var_slope = 0.0
     if p.size > 1:
         rel = ratio - slope
         sigma2 = float(np.dot(rel, rel) / (p.size - 1))
         var_slope = sigma2 / p.size
-    else:
-        var_slope = 0.0
-    if p.size >= 2:
         rel_dev = float(np.max(np.abs(residual) / eta))
         if rel_dev > 0.10 and not flags:
             flags.append(f"out-of-regime: relative curvature {rel_dev:.3f} > 0.1")
 
-    conversion = (
-        HBAR * fixed["omega_l"] * fixed["kappa_o"]
-        / (
-            16.0
-            * fixed["eta_probes"]
-            * fixed["eta_fiber_fiber"]
-            * fixed["eta_m"]
-            * fixed["eta_o"] ** 2
-        )
-    )
+    conversion = HBAR * fixed["omega_l"] * fixed["kappa_o"] / (
+        16.0 * fixed["eta_probes"] * fixed["eta_fiber_fiber"] * fixed["eta_m"] * fixed["eta_o"] ** 2)
     c0 = slope * conversion
     var_c0 = var_slope * conversion ** 2
     g0 = 2.0 * math.sqrt(fixed["kappa_o"] * fixed["kappa_m"] * c0 / 4.0)
@@ -483,8 +472,16 @@ def fit_efficiency_power(power_in, eta_tot, fixed: dict) -> FitReport:
 
 def rc_step_model(t, amplitude, tau, t0):
     t = np.asarray(t, dtype=float)
-    rise = 1.0 - np.exp(-np.clip(t - t0, 0.0, None) / tau)
-    return amplitude * np.where(t >= t0, rise, 0.0)
+    return amplitude * (1.0 - np.exp(-np.clip(t - t0, 0.0, None) / tau))
+
+
+def _rc_step_jac(t, amplitude, tau, t0):
+    """Jacobian of rc_step_model against (amplitude, tau, t0); at t = t0 it
+    is the one-sided derivative from t >= t0."""
+    s = np.clip(t - t0, 0.0, None)
+    decay = np.exp(-s / tau)
+    return np.column_stack([1.0 - decay, -amplitude * s * decay / tau ** 2,
+                            np.where(t >= t0, -amplitude * decay / tau, 0.0)])
 
 
 def fit_rc_step(t, envelope) -> FitReport:
@@ -492,7 +489,9 @@ def fit_rc_step(t, envelope) -> FitReport:
     rising edge, by least squares against A (1 - exp(-(t - t0)/tau)).
 
     Initialization: plateau from the latest samples, t0 from the 10%
-    crossing, tau from the 10-90% rise time divided by 2.2.
+    crossing, tau from the 10-90% rise time divided by 2.2.  The model has
+    a kink at t0; its Jacobian there is exact and one-sided (from t >= t0),
+    where a difference quotient would straddle the kink.
     """
     t = np.asarray(t, dtype=float)
     env = np.asarray(envelope, dtype=float)
@@ -522,9 +521,8 @@ def fit_rc_step(t, envelope) -> FitReport:
     lower = np.array([0.0, 1e-6 * tau0, float(t[0]) - span])
     upper = np.array([10.0 * plateau, 1e3 * tau0, float(t[-1])])
 
-    def residuals(theta):
-        return rc_step_model(t, *theta) - env
-
-    x, variances, rnorm, nfev = _run_fit(residuals, x0, (lower, upper), "RC step fit")
+    x, variances, rnorm, nfev = _run_fit(lambda theta: rc_step_model(t, *theta) - env,
+                                         lambda theta: _rc_step_jac(t, *theta),
+                                         x0, (lower, upper), "RC step fit")
     units = {"amplitude": "signal", "tau_rc": "s", "t0": "s"}
     return _report(units, x, variances, rnorm, nfev)

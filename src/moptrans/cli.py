@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 
@@ -198,18 +197,23 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
 
 
 def _read_csv_columns(path, n_cols: int) -> list[np.ndarray]:
+    """The first n_cols columns of a data file: '#' lines, a header row that
+    names at least n_cols columns, then rows of finite numbers only."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            body = "\n".join(l for l in fh.read().splitlines() if not l.startswith("#"))
-        data = np.genfromtxt(io.StringIO(body), delimiter=",", names=True)
+            lines = fh.read().splitlines()
+        start = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+        if start == len(lines) or len(lines[start].split(",")) < n_cols:
+            raise ConfigError(f"data file {path!r} needs {n_cols} named columns")
+        rows = lines[start + 1:]
+        if not any(row.strip() for row in rows):
+            raise ConfigError(f"data file {path!r} has no data rows")
+        data = np.loadtxt(rows, delimiter=",", comments=None, usecols=range(n_cols), ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read data file {path!r}: {exc}") from exc
-    if data.dtype.names is None or len(data.dtype.names) < n_cols:
-        raise ConfigError(f"data file {path!r} needs {n_cols} named columns")
-    cols = [np.atleast_1d(np.asarray(data[name], dtype=float)) for name in data.dtype.names[:n_cols]]
-    if any(np.any(~np.isfinite(c)) for c in cols):
+    if not np.all(np.isfinite(data)):
         raise ConfigError(f"data file {path!r} contains non-numeric entries")
-    return cols
+    return list(data.T)
 
 
 def cmd_fit(cfg: RunConfig | None, args) -> int:

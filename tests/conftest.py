@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from moptrans.hybridize import OperatingPoint, supermodes
 from moptrans.model import (
@@ -18,6 +19,12 @@ from moptrans.model import (
 )
 
 OMEGA_1550 = TWO_PI * 299792458.0 / 1550e-9
+
+# Property tests draw the same examples on every run (Tier-1 runs under
+# filterwarnings = error and must not depend on luck), and a slow example is
+# not a failure.  `pytest --hypothesis-profile NAME` selects another profile.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def make_paper_device(n_modes: int = 1) -> DeviceParams:

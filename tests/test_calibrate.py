@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moptrans.calibrate import (
     FitReport,
+    _doublet_sweep,
     _local_minima,
+    _rc_step_jac,
+    _s11_jac,
     doublet_transmission,
     fit_doublet,
     fit_efficiency_power,
@@ -16,7 +21,8 @@ from moptrans.calibrate import (
     s11_model,
 )
 from moptrans.errors import ConvergenceError
-from moptrans.model import TWO_PI, HBAR
+from moptrans.hybridize import supermodes
+from moptrans.model import TWO_PI, HBAR, OpticalModeBare
 
 from conftest import OMEGA_1550
 
@@ -384,3 +390,109 @@ class TestLocalMinima:
         width = max(3, len(trans) // 100)
         smooth = np.convolve(trans, np.ones(width) / width, mode="same")
         self.assert_matches(smooth, max(1, len(trans) // 50))
+
+
+def central_difference(fn, x, steps):
+    """Central-difference Jacobian of fn at x.  Each column divides by the
+    increment actually stored in x, not the requested step."""
+    columns = []
+    for j, h in enumerate(steps):
+        up, down = np.array(x, dtype=float), np.array(x, dtype=float)
+        up[j] += h
+        down[j] -= h
+        columns.append((fn(up) - fn(down)) / (up[j] - down[j]))
+    return np.column_stack(columns)
+
+
+def assert_jacobian(analytic, fn, x, steps):
+    """The analytic Jacobian matches a central difference of its residual to
+    1e-6 relative, both taken per step (each column times its step, the
+    residual change that step makes): the largest error is under 1e-6 of
+    the largest entry.  Per column, a derivative that a symmetry makes
+    vanish (delta at delta = 0, J = 0) would compare rounding noise."""
+    steps = np.asarray(steps)
+    numeric = central_difference(fn, x, steps)
+    error = np.max(np.abs(analytic - numeric) * steps, axis=0)
+    scale = np.max(np.abs(analytic) * steps)
+    assert np.all(error <= 1e-6 * scale), error / scale
+
+
+def on_half_lattice(x):
+    """x rounded to a multiple of 0.5 rad/s: then omega_center +- delta/2 is
+    exact at 1.2e15 rad/s (ulp 0.25), and so are the differenced steps."""
+    return round(2.0 * x) / 2.0
+
+
+# ring linewidth as a multiple of kappa_ex: below 1 the intrinsic-loss clamp
+# is active, above it is not; never within 5% of the clamp's kink
+RING = st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 20.0))
+# ring coupling [Hz]: zero, or at least 1 MHz (hybridize.supermodes divides
+# by zero when a J of order 1e-261 makes its eigenvector underflow)
+COUPLING = st.one_of(st.just(0.0), st.floats(1e6, 3e9))
+
+
+class TestJacobians:
+    """Each fit's analytic Jacobian against a central difference of its own
+    residual, model minus data (the data drop out of the difference)."""
+
+    @given(amplitude=st.floats(0.1, 10.0), tau=st.floats(1e-9, 1e-6), t0=st.floats(0.0, 1e-6),
+           before=st.lists(st.floats(1e-3, 8.0), min_size=1, max_size=20),
+           after=st.lists(st.floats(1e-3, 8.0), min_size=1, max_size=20))
+    def test_rc_step(self, amplitude, tau, t0, before, after):
+        """Samples on both sides of t0, each at least 1e-3 tau from the kink
+        (the differencing step is 1e-6 tau)."""
+        t = t0 + tau * np.concatenate([-np.asarray(before), after])
+        x = np.array([amplitude, tau, t0])
+        assert_jacobian(_rc_step_jac(t, *x), lambda theta: rc_step_model(t, *theta), x,
+                        [1e-6 * amplitude, 1e-6 * tau, 1e-6 * tau])
+
+    @given(f_m=st.floats(1e9, 10e9), q=st.floats(50.0, 1e4), eta=st.floats(0.01, 0.99),
+           detuning=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=40))
+    def test_s11(self, f_m, q, eta, detuning):
+        omega_m = TWO_PI * f_m
+        kappa = omega_m / q
+        omega = omega_m + kappa * np.asarray(detuning)
+        x = np.array([omega_m, kappa, eta * kappa])
+
+        def stacked(theta):
+            diff = s11_model(omega, *theta)
+            return np.concatenate([diff.real, diff.imag])
+
+        assert_jacobian(_s11_jac(omega, *x), stacked, x, [1e-6 * kappa] * 3)
+
+    @given(kappa_ex=st.floats(10e6, 100e6), left=RING, right=RING, j=COUPLING,
+           delta=st.floats(-500e6, 500e6), slope=st.floats(-1e9, 1e9), center=st.floats(-1e9, 1e9))
+    def test_doublet_sweep(self, kappa_ex, left, right, j, delta, slope, center):
+        """All 7 bias points in one pass: the model equals doublet_transmission
+        per bias point, and its Jacobian matches the differenced model."""
+        bias = np.arange(-3.0, 4.0)
+        c = W0 + TWO_PI * center
+        x = np.array([TWO_PI * kappa_ex * left, TWO_PI * kappa_ex * right, TWO_PI * kappa_ex,
+                      TWO_PI * j, on_half_lattice(TWO_PI * delta), on_half_lattice(TWO_PI * slope), c])
+        omega = c + TWO_PI * np.linspace(-6e9, 6e9, 201)
+        model, jac = _doublet_sweep(omega, bias, x)
+        per_bias = [doublet_transmission(omega, *x[:4], x[4] + x[5] * b, c) for b in bias]
+        np.testing.assert_array_equal(model, np.concatenate(per_bias))
+        assert_jacobian(jac, lambda theta: _doublet_sweep(omega, bias, theta)[0], x, [512.0] * 7)
+
+
+class TestDoubletClosedForm:
+    @given(kappa_ex=st.floats(20e6, 100e6), kappa_int_l=st.floats(40e6, 400e6),
+           kappa_int_r=st.floats(40e6, 400e6), j=COUPLING, delta=st.floats(-3e9, 3e9),
+           center=st.floats(-1e9, 1e9))
+    def test_matches_supermode_sum(self, kappa_ex, kappa_int_l, kappa_int_r, j, delta, center):
+        """doublet_transmission against |1 - sum_pm kex_pm chi_pm|^2 built
+        from hybridize.supermodes, the only cross-check between the two
+        modules: 1e-9 absolute over rings of 60 MHz to 0.5 GHz linewidth
+        (rates drawn in Hz).  The gap is the rounding of omega - omega_pm
+        at 1.2e15 rad/s, relative to the linewidth."""
+        kex, kil, kir = TWO_PI * kappa_ex, TWO_PI * kappa_int_l, TWO_PI * kappa_int_r
+        c, d = W0 + TWO_PI * center, TWO_PI * delta
+        sm = supermodes(OpticalModeBare(c + 0.5 * d, kil, kex),
+                        OpticalModeBare(c - 0.5 * d, kir, kex), TWO_PI * j)
+        omega = c + TWO_PI * np.linspace(-8e9, 8e9, 801)
+        chi_minus = 1.0 / (-1j * (omega - sm.omega_minus) + 0.5 * sm.kappa_minus)
+        chi_plus = 1.0 / (-1j * (omega - sm.omega_plus) + 0.5 * sm.kappa_plus)
+        reference = np.abs(1.0 - sm.kappa_ex_minus * chi_minus - sm.kappa_ex_plus * chi_plus) ** 2
+        model = doublet_transmission(omega, kil + kex, kir + kex, kex, TWO_PI * j, d, c)
+        np.testing.assert_allclose(model, reference, rtol=0.0, atol=1e-9)

@@ -10,7 +10,7 @@ import pytest
 
 import moptrans
 from moptrans.calibrate import doublet_transmission, rc_step_model, s11_model
-from moptrans.cli import main
+from moptrans.cli import _read_csv_columns, main
 from moptrans.config import _MODE_RE, _SCHEMA, load_config, parse_flat_toml
 from moptrans.errors import ConfigError
 from moptrans.model import TWO_PI
@@ -540,6 +540,36 @@ class TestFitCommand:
         assert "config error" in res.stderr
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("defect", ["header-only", "text-cell", "nan-cell", "comment-in-data"])
+    def test_unreadable_data_is_config_error(self, tmp_path, defect):
+        """Each defect of an otherwise valid 900-row step file is a config
+        error naming the file: exit 1, no traceback, no output.  '#' lines
+        are metadata above the header only; one among the rows is an error."""
+        t = np.linspace(0.0, 0.5e-6, 900)
+        rows = ["%.17g,%.17g" % row for row in zip(t, rc_step_model(t, 0.9, 30e-9, 0.1e-6))]
+        rows = {
+            "header-only": [],
+            "text-cell": rows[:450] + ["2.5e-07,abc"] + rows[451:],
+            "nan-cell": rows[:450] + ["2.5e-07,nan"] + rows[451:],
+            "comment-in-data": rows[:450] + ["# gap"] + rows[450:],
+        }[defect]
+        data = tmp_path / "step.csv"
+        data.write_text("\n".join(["# moptrans", "t_s,amp", *rows]) + "\n")
+        res = run_cli("fit", "step", "--data", data, "--out", tmp_path / "x.json")
+        assert res.returncode == 1
+        assert "config error" in res.stderr and "step.csv" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "x.json").exists()
+
+    def test_one_row_data_file(self, tmp_path):
+        """One row reads as one-element columns; columns past n_cols are
+        ignored."""
+        data = tmp_path / "power.csv"
+        data.write_text("# moptrans\npower_dbm,eta_tot,note\n10.0,1e-06,3\n")
+        dbm, eta = _read_csv_columns(data, 2)
+        assert dbm.shape == eta.shape == (1,)
+        assert (dbm[0], eta[0]) == (10.0, 1e-6)
 
     def test_config_optional_except_power(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PAPER_CONFIG)
