@@ -5,12 +5,11 @@ One backend serves every fit, one fit function per CLI `fit` kind
 least-squares solver (scipy's trust-region reflective solver, the bounded
 flavor of Levenberg-Marquardt damping): convergence at relative cost
 change < 1e-10 or gradient norm < 1e-8, evaluation cap 500 per parameter.
-Each fit passes the analytic Jacobian of its model; the single-spectrum
-doublet fit, whose parameters are degenerate, is differenced ("2-point").
-Scipy is imported on the first fit, so the verbs that never fit do not
-load it; nothing else in the package uses it.  The backend raises
-ConvergenceError when the solver stops without converging, so every
-report it returns has converged.  Covariances come from the Gauss-Newton
+Every nonlinear fit passes the analytic Jacobian of its model.  Scipy is
+imported on the first fit, so the verbs that never fit do not load it;
+nothing else in the package uses it.  The backend raises ConvergenceError
+when the solver stops without converging, so every report it returns has
+converged.  Covariances come from the Gauss-Newton
 approximation sigma^2 (J^T J)^-1 with sigma^2 the reduced residual
 variance.  When J^T J is singular there is no such estimate: the report
 gives those variances as None (JSON null), never NaN, and carries a
@@ -76,15 +75,15 @@ def _report(units: dict, values, variances, residual_norm, nfev, flags=()) -> Fi
 
 
 def _run_fit(residual_fn, jac, x0, bounds, what: str):
-    """Shared backend; `jac` is the Jacobian of `residual_fn`, or a scipy
-    difference scheme.  Returns (values, variances, residual norm, nfev)
-    and raises ConvergenceError('<what> did not converge')."""
+    """Shared backend; `jac` is the callable Jacobian of `residual_fn`.
+    Returns (values, variances, residual norm, nfev) and raises
+    ConvergenceError('<what> did not converge')."""
     from scipy.optimize import least_squares
 
     with warnings.catch_warnings():
         # scipy's trust-region subproblem can overflow, then divide by zero,
-        # in phi_and_derivative on step data, with the exact Jacobian as with
-        # differences (seed 301, dataset 46 of the benchmark's step files)
+        # in phi_and_derivative on step data (seed 301, dataset 46 of the
+        # benchmark's step files)
         warnings.filterwarnings("ignore", category=RuntimeWarning,
                                 module=r"scipy\.optimize.*")
         result = least_squares(residual_fn, x0, jac=jac, bounds=bounds, method="trf", ftol=_FTOL,
@@ -208,23 +207,15 @@ def _doublet_init(omega, trans, flags):
 
 
 def fit_doublet(omega, transmission, bias_axis=None) -> FitReport:
-    """Recover {kappa_l, kappa_r, kappa_ex, J, delta} (plus the center
-    frequency) from power-transmission spectra of the doublet.
+    """Recover the doublet from power transmission |S21|^2 on the absolute
+    angular-frequency grid `omega` [rad/s]: one spectrum (1-D), or a bias
+    sweep, a stack of shape (n_bias, n_freq) with `bias_axis` of length
+    n_bias.  Both fits evaluate one model, `_doublet_sweep`.
 
-    omega is the absolute angular-frequency grid [rad/s]; transmission the
-    measured |S21|^2, either one spectrum (1-D) or a stack of shape
-    (n_bias, n_freq) taken across a bias sweep with `bias_axis` of length
-    n_bias.
-
-    A single spectrum constrains only the supermode observables (center,
-    splitting, mean linewidth, linewidth difference, external coupling);
-    the bare-ring decomposition (kappa_l vs kappa_r, J vs delta) has an
-    exact one-parameter degeneracy, so the per-spectrum result carries a
-    'degenerate-decomposition' flag and no variances, and only the derived
-    supermode quantities are unique.  A bias sweep breaks the degeneracy:
-    the joint fit shares (kappa_l, kappa_r, kappa_ex, J, omega_center) across
-    spectra with the ring detuning linear in bias, delta_i = delta +
-    delta_slope * bias_i, and recovers every parameter uniquely.
+    One spectrum gives its supermode observables: kappa_plus, kappa_minus,
+    the common kappa_ex, splitting = omega_plus - omega_minus and their mean
+    omega_center.  A sweep gives the bare rings: kappa_l, kappa_r, kappa_ex,
+    J, omega_center and the ring detuning delta_i = delta + delta_slope * bias_i.
     """
     omega = np.asarray(omega, dtype=float)
     trans = np.asarray(transmission, dtype=float)
@@ -245,23 +236,26 @@ def fit_doublet(omega, transmission, bias_axis=None) -> FitReport:
 
 
 def _fit_doublet_single(omega, trans) -> FitReport:
-    flags: list[str] = [
-        "degenerate-decomposition: a single spectrum fixes only the "
-        "supermode observables; pass a bias sweep to resolve "
-        "(kappa_l, kappa_r, J, delta) uniquely"
-    ]
+    """The sweep model at J = 0 on one zero bias point: a + b = lambda_- +
+    lambda_+ and ab + J^2 = lambda_- lambda_+ for the supermode eigenvalues,
+    so its uncoupled rings are the supermodes, ring l the upper one."""
+    flags: list[str] = []
     center0, splitting0, kappa0, kappa_ex0 = _doublet_init(omega, trans, flags)
-    span = omega[-1] - omega[0]
-    x0 = np.array([kappa0, kappa0, kappa_ex0, 0.5 * splitting0, 0.0, center0])
-    lower = np.array([1e-6 * kappa0, 1e-6 * kappa0, 1e-8 * kappa0, 0.0, -span, omega[0]])
-    upper = np.array([100 * kappa0, 100 * kappa0, 50 * kappa0, 10 * span, span, omega[-1]])
+    # relative to center0 (exact): rounding of omega - omega_pm at 1e15 rad/s
+    # leaves a rough residual floor that a noiseless fit cannot converge on
+    offset = omega - center0
+    x0 = np.array([kappa0, kappa0, kappa_ex0, splitting0, 0.0])
+    lower = np.array([1e-6 * kappa0, 1e-6 * kappa0, 1e-8 * kappa0, 0.0, offset[0]])
+    upper = np.array([100 * kappa0, 100 * kappa0, 50 * kappa0, 10 * (offset[-1] - offset[0]), offset[-1]])
 
-    x, _, rnorm, nfev = _run_fit(lambda theta: doublet_transmission(omega, *theta) - trans,
-                                 "2-point", x0, (lower, upper), "doublet fit")
-    # the degeneracy makes J^T J singular in exact arithmetic; whether its
-    # computed inverse fails depends only on rounding
-    x, variances = _canonical_ring_labels(x, np.full(6, np.nan))
-    units = dict.fromkeys(("kappa_l", "kappa_r", "kappa_ex", "J", "delta", "omega_center"), "rad/s")
+    def sweep(x):  # (kappa_plus, kappa_minus, kappa_ex, splitting >= 0, omega_center - center0)
+        return _doublet_sweep(offset, np.zeros(1), (*x[:3], 0.0, x[3], 0.0, x[4]))
+
+    x, variances, rnorm, nfev = _run_fit(lambda x: sweep(x)[0] - trans,
+                                         lambda x: sweep(x)[1][:, [0, 1, 2, 4, 6]],
+                                         x0, (lower, upper), "doublet fit")
+    x[4] += center0
+    units = dict.fromkeys(("kappa_plus", "kappa_minus", "kappa_ex", "splitting", "omega_center"), "rad/s")
     return _report(units, x, variances, rnorm, nfev, flags)
 
 
@@ -272,7 +266,7 @@ def _canonical_ring_labels(x, variances):
     x, variances = np.array(x, dtype=float), np.array(variances, dtype=float)
     if x[0] < x[1]:
         x[[0, 1]], variances[[0, 1]] = x[[1, 0]], variances[[1, 0]]
-        x[4:-1] *= -1.0  # delta, and a sweep's slope
+        x[4:-1] *= -1.0  # delta and slope
     return x, variances
 
 

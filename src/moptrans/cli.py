@@ -13,6 +13,10 @@ is `response.EfficiencyBudget` plus `eta_tot_db`, `added_noise` is
 Cauchy-Schwarz test; `thermal` holds the acoustic mode's occupancy and
 decoherence rate.  With the pump off, `efficiency` has no `eta_tot_db` and
 empty `stages`, and `added_noise` and `pair_generation` are null.
+`fit doublet` reads one spectrum and reports its supermode observables
+kappa_plus, kappa_minus, kappa_ex, splitting and omega_center; the
+bias-sweep keys kappa_l, kappa_r, kappa_ex, J, delta, delta_slope and
+omega_center come from `calibrate.fit_doublet` on a stack of spectra.
 Exit codes: 0 success, 1 config or usage error, 2 numerical
 non-convergence, 3 physical instability.
 """
@@ -90,6 +94,8 @@ def _grid_from(cfg: RunConfig, args) -> np.ndarray:
     else:
         start, stop, n = cfg.require("grid_start_hz", "grid_stop_hz", "grid_points")
     n = int(n)
+    if not np.isfinite([start, stop]).all():
+        raise ConfigError(f"sweep grid start and stop must be finite, got {start!r}, {stop!r}")
     if n < 2 or stop <= start:
         raise ConfigError("sweep grid needs stop > start and at least 2 points")
     return np.linspace(float(start), float(stop), n)
@@ -329,7 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("power-sweep", help="efficiency chain vs pump power CSV"))
     common(sub.add_parser("pulse", help="pulsed down-conversion envelope CSV: every k-th lock-in "
                           "sample and the last, k = max(1, floor(lockin_tau_s / (100 dt)))"))
-    fit = sub.add_parser("fit", help="parameter recovery from measured data")
+    fit_help = ("parameter recovery from measured data; doublet fits one spectrum and reports "
+                "kappa_plus, kappa_minus, kappa_ex, splitting and omega_center")
+    fit = sub.add_parser("fit", help=fit_help, description=fit_help)
     fit.add_argument("kind", choices=("doublet", "s11", "power", "step"))
     common(fit, needs_data=True)
     common(sub.add_parser("budget", help="efficiency/noise/pair-rate JSON report"))

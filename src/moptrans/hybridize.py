@@ -127,11 +127,19 @@ def supermodes(left: OpticalModeBare, right: OpticalModeBare, coupling_j: float)
             delta_omega=0.0, delta_kappa=0.0,
         )
 
-    w = _branch_fixed_w(d, coupling_j)
-    omega_minus = omega_bar - 0.5 * w.imag
-    omega_plus = omega_bar + 0.5 * w.imag
-    kappa_minus = kappa_bar - w.real
-    kappa_plus = kappa_bar + w.real
+    # A (D, J) too small to square (J = 1e-270 Hz would underflow W and the
+    # eigenvector components to zero) is lifted by an exact power of two;
+    # any larger pair keeps its bits.
+    j, lift = coupling_j, 1.0
+    size = max(abs(d), j)
+    if size < 1e-150:
+        lift = math.ldexp(1.0, -math.frexp(size)[1])
+        d, j = d * lift, j * lift
+    w = _branch_fixed_w(d, j)
+    omega_minus = omega_bar - 0.5 * w.imag / lift
+    omega_plus = omega_bar + 0.5 * w.imag / lift
+    kappa_minus = kappa_bar - w.real / lift
+    kappa_plus = kappa_bar + w.real / lift
 
     # Eigenvectors of the frequency-domain matrix [[chi_l^-1, -iJ],
     # [-iJ, chi_r^-1]] (the off-diagonal sign follows from the -J coupling
@@ -141,8 +149,8 @@ def supermodes(left: OpticalModeBare, right: OpticalModeBare, coupling_j: float)
     # conditioned.
     vecs = []
     for sign in (-1.0, +1.0):
-        v1 = (1j * coupling_j, 0.5 * (d - sign * w))
-        v2 = (0.5 * (-d - sign * w), 1j * coupling_j)
+        v1 = (1j * j, 0.5 * (d - sign * w))
+        v2 = (0.5 * (-d - sign * w), 1j * j)
         pick = v1 if abs(v1[0]) ** 2 + abs(v1[1]) ** 2 >= abs(v2[0]) ** 2 + abs(v2[1]) ** 2 else v2
         vecs.append(_gauge(pick))
     (alpha_minus, beta_minus), (alpha_plus, beta_plus) = vecs
@@ -158,8 +166,8 @@ def supermodes(left: OpticalModeBare, right: OpticalModeBare, coupling_j: float)
         beta_minus=beta_minus, beta_plus=beta_plus,
         # taken from W directly: differencing the stored absolute
         # frequencies would quantize at the float64 resolution of omega
-        delta_omega=w.imag,
-        delta_kappa=2.0 * w.real,
+        delta_omega=w.imag / lift,
+        delta_kappa=2.0 * w.real / lift,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 
 import moptrans
-from moptrans.calibrate import doublet_transmission, rc_step_model, s11_model
+from moptrans import calibrate
+from moptrans.calibrate import _report, doublet_transmission, rc_step_model, s11_model
 from moptrans.cli import _read_csv_columns, main
 from moptrans.config import _MODE_RE, _SCHEMA, load_config, parse_flat_toml
 from moptrans.errors import ConfigError
 from moptrans.model import TWO_PI
 
 from conftest import OMEGA_1550
-from test_calibrate import DOUBLET_TRUTH
+from test_calibrate import DOUBLET_KEYS, DOUBLET_TRUTH
 
 PAPER_CONFIG = """
 left_freq_hz = 193414489032258.06
@@ -94,6 +96,49 @@ def check_pump_detuning(tmp_path, capsys, verb, name, extra=""):
         assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
         texts.append(out.read_text().replace(load_config(cfg).sha256, "SHA"))
     assert texts[0] == texts[1]
+
+
+def write_fit_data(tmp_path, kind):
+    """A noisy data file of each `fit` kind (seed 504)."""
+    rng = np.random.default_rng(504)
+    if kind == "doublet":
+        omega = OMEGA_1550 + TWO_PI * np.linspace(-4.0e9, 4.0e9, 300)
+        trans = doublet_transmission(omega, *(DOUBLET_TRUTH[k] for k in DOUBLET_KEYS))
+        header, columns = "freq_hz,transmission", [omega / TWO_PI, trans + rng.normal(0.0, 0.02, omega.size)]
+    elif kind == "s11":
+        km = TWO_PI * 3.48e9 / 284
+        omega = TWO_PI * 3.48e9 + np.linspace(-8 * km, 8 * km, 500)
+        s11 = s11_model(omega, TWO_PI * 3.48e9, km, 0.11 * km) + rng.normal(0.0, 0.01, omega.size)
+        header, columns = "freq_hz,re,im", [omega / TWO_PI, s11.real, s11.imag]
+    elif kind == "power":
+        dbm = np.array([0.0, 7.0, 14.0, 21.0])
+        eta = 1e-7 * 10 ** (dbm / 10) * (1.0 + rng.normal(0.0, 0.05, dbm.size))
+        header, columns = "power_dbm,eta_tot", [dbm, eta]
+    else:
+        t = np.linspace(0.0, 0.5e-6, 1200)
+        header, columns = "t_s,amp", [t, rc_step_model(t, 0.9, 30e-9, 0.1e-6) + rng.normal(0.0, 0.02, t.size)]
+    path = tmp_path / f"{kind}.csv"
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header, comments="")
+    return path
+
+
+def flatten(tree, prefix=""):
+    """A nested JSON object as one {'a.b.c': value} map."""
+    flat = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            flat.update(flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def read_csv(path):
@@ -269,6 +314,15 @@ class TestSpectrumCommand:
                      "--grid", "3.4e9,3.5e9,0"])
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["nan,4e9,10", "3e9,inf,10", "-inf,4e9,10"])
+    def test_non_finite_grid_is_config_error(self, tmp_path, capsys, grid):
+        """A non-finite --grid end used to end in a raw ValueError traceback."""
+        cfg = write_config(tmp_path, PAPER_CONFIG)
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out), f"--grid={grid}"]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, PAPER_CONFIG)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -419,10 +473,7 @@ class TestPulseCommand:
 class TestFitCommand:
     def test_doublet_round_trip(self, tmp_path):
         """Per-spectrum doublet fit through file I/O: the supermode
-        observables come back; the bare-ring split is flagged degenerate."""
-        from moptrans.hybridize import supermodes
-        from moptrans.model import OpticalModeBare
-
+        observables come back, with finite variances and no flags."""
         cfg = write_config(tmp_path, PAPER_CONFIG)
         freq = np.linspace(193.4117e12, 193.4172e12, 1400)
         center = TWO_PI * 193.41446e12
@@ -437,16 +488,13 @@ class TestFitCommand:
         assert main(["fit", "doublet", "--config", str(cfg), "--data", str(data),
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert any("degenerate-decomposition" in f for f in report["flags"])
+        assert report["flags"] == []
+        assert None not in report["covariance_diag"].values()
         p = report["parameters"]
         assert p["kappa_ex"] == pytest.approx(TWO_PI * 60e6, rel=0.01)
-        assert 0.5 * (p["kappa_l"] + p["kappa_r"]) == pytest.approx(TWO_PI * 172e6, rel=0.01)
-        left = OpticalModeBare(p["omega_center"] + 0.5 * p["delta"],
-                               max(p["kappa_l"] - p["kappa_ex"], 1.0), p["kappa_ex"])
-        right = OpticalModeBare(p["omega_center"] - 0.5 * p["delta"],
-                                max(p["kappa_r"] - p["kappa_ex"], 1.0), p["kappa_ex"])
-        sm = supermodes(left, right, p["J"])
-        assert sm.delta_omega == pytest.approx(TWO_PI * 3.48e9, rel=0.01)
+        assert 0.5 * (p["kappa_plus"] + p["kappa_minus"]) == pytest.approx(TWO_PI * 172e6, rel=0.01)
+        assert p["splitting"] == pytest.approx(TWO_PI * 3.48e9, rel=0.01)
+        assert p["omega_center"] == pytest.approx(center, rel=1e-9)
 
     def test_s11_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, PAPER_CONFIG)
@@ -501,28 +549,33 @@ class TestFitCommand:
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
 
-    def test_singular_covariance_is_strict_json(self, tmp_path):
-        """A single noisy spectrum with a singular J^T J used to give exit 0
-        and NaN variances, which is not JSON."""
-        cfg = write_config(tmp_path, PAPER_CONFIG)
-        rng = np.random.default_rng(504)
-        omega = OMEGA_1550 + TWO_PI * np.linspace(-4.0e9, 4.0e9, 300)
-        trans = doublet_transmission(omega, *(DOUBLET_TRUTH[k] for k in (
-            "kappa_l", "kappa_r", "kappa_ex", "J", "delta", "omega_center")))
-        trans = trans + rng.normal(0.0, 0.02, size=trans.shape)
-        data = tmp_path / "doublet.csv"
-        np.savetxt(data, np.column_stack([omega / TWO_PI, trans]), delimiter=",",
-                   header="freq_hz,transmission", comments="")
+    def test_singular_covariance_is_strict_json(self, tmp_path, monkeypatch):
+        """A non-finite variance is written as null under one
+        'singular-covariance' flag, in strict JSON through the CLI; NaN
+        variances used to reach the file, which is not JSON."""
+        units = {"amplitude": "signal", "tau_rc": "s", "t0": "s"}
+        report = _report(units, (0.9, 3e-8, 1e-7), (1e-6, math.nan, math.inf), 0.1, 7)
+        assert report.covariance_diag == {"amplitude": 1e-6, "tau_rc": None, "t0": None}
+        assert report.flags == ("singular-covariance: J^T J is not invertible; no variance for tau_rc, t0",)
+        monkeypatch.setattr(calibrate, "fit_rc_step", lambda t, env: report)
         out = tmp_path / "fit.json"
-        assert main(["fit", "doublet", "--config", str(cfg), "--data", str(data),
+        assert main(["fit", "step", "--data", str(write_fit_data(tmp_path, "step")), "--out", str(out)]) == 0
+        written = strict_json(out.read_text())
+        assert written["covariance_diag"] == report.covariance_diag
+        assert written["flags"] == list(report.flags)
+
+    @pytest.mark.parametrize("kind", ["doublet", "s11", "power", "step"])
+    def test_output_is_strict_json(self, tmp_path, kind):
+        """Every fit kind writes strict JSON with a finite variance for each
+        parameter.  The doublet spectrum (seed 504, 2% noise) is one on which
+        the bare-ring fit found J^T J singular."""
+        cfg = write_config(tmp_path, PAPER_CONFIG)
+        out = tmp_path / "fit.json"
+        assert main(["fit", kind, "--config", str(cfg), "--data", str(write_fit_data(tmp_path, kind)),
                      "--out", str(out)]) == 0
-
-        def reject(token):
-            raise ValueError(f"non-finite JSON token {token}")
-
-        report = json.loads(out.read_text(), parse_constant=reject)
-        assert any(f.startswith("singular-covariance:") for f in report["flags"])
-        assert None in report["covariance_diag"].values()
+        report = strict_json(out.read_text())
+        assert report["converged"] is True
+        assert all(v is not None and math.isfinite(v) for v in report["covariance_diag"].values())
 
     @pytest.mark.parametrize("kind, header, rows", [
         ("s11", "freq_hz,re,im", [[3.48e9 + k * 1e6, -1.0, 0.0] for k in range(5)]),
@@ -609,6 +662,21 @@ class TestBudgetCommand:
         assert report["thermal"]["decoherence_rate_hz"] == pytest.approx(
             13e6 * report["thermal"]["n_thermal"], rel=1e-9
         )
+
+    def test_tiny_coupling_of_identical_rings(self, tmp_path):
+        """Identical rings with coupling_j_hz = 1e-270 used to end in a raw
+        ZeroDivisionError traceback: J^2, the splitting and the eigenvector
+        components underflowed to zero.  The budget equals that at 1e-100."""
+        text = PAPER_CONFIG_FILE.read_text().replace("right_kappa_int_hz = 94.0e6",
+                                                     "right_kappa_int_hz = 130.0e6")
+        sections = []
+        for j_hz in ("1.0e-270", "1.0e-100"):
+            cfg = write_config(tmp_path, text.replace("coupling_j_hz = 1.74e9", f"coupling_j_hz = {j_hz}"))
+            out = tmp_path / "budget.json"
+            assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
+            budget = json.loads(out.read_text())
+            sections.append(flatten({k: budget[k] for k in ("efficiency", "added_noise")}))
+        assert sections[0] == pytest.approx(sections[1], rel=1e-12, abs=0.0)
 
     def test_stokes_budget_includes_pairs(self, tmp_path):
         text = PAPER_CONFIG.replace('pump_config = "antistokes"', 'pump_config = "stokes"')

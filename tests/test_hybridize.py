@@ -42,18 +42,20 @@ def random_pair(rng):
 class TestSupermodes:
     def test_symmetric_limit(self):
         # delta = 0, mu = 0: omega_pm = mean -+ J, kappa unchanged,
-        # a_- = (a_l + a_r)/sqrt(2), a_+ = (a_l - a_r)/sqrt(2)
-        j = TWO_PI * 1.74e9
-        sm = supermodes(mode(), mode(), j)
-        assert sm.omega_minus == pytest.approx(W0 - j, rel=1e-12)
-        assert sm.omega_plus == pytest.approx(W0 + j, rel=1e-12)
-        assert sm.kappa_minus == pytest.approx(TWO_PI * 170e6, rel=1e-12)
-        assert sm.kappa_plus == pytest.approx(TWO_PI * 170e6, rel=1e-12)
-        inv = 1.0 / math.sqrt(2.0)
-        assert sm.alpha_minus == pytest.approx(inv, abs=1e-12)
-        assert sm.beta_minus == pytest.approx(inv, abs=1e-12)
-        assert sm.alpha_plus == pytest.approx(inv, abs=1e-12)
-        assert sm.beta_plus == pytest.approx(-inv, abs=1e-12)
+        # a_- = (a_l + a_r)/sqrt(2), a_+ = (a_l - a_r)/sqrt(2); also for a J
+        # whose square underflows (1e-270 Hz used to divide by a zero norm)
+        for j in (TWO_PI * 1.74e9, TWO_PI * 1e-160, TWO_PI * 1e-270):
+            sm = supermodes(mode(), mode(), j)
+            assert sm.omega_minus == pytest.approx(W0 - j, rel=1e-12)
+            assert sm.omega_plus == pytest.approx(W0 + j, rel=1e-12)
+            assert sm.delta_omega == pytest.approx(2.0 * j, rel=1e-12)
+            assert sm.kappa_minus == pytest.approx(TWO_PI * 170e6, rel=1e-12)
+            assert sm.kappa_plus == pytest.approx(TWO_PI * 170e6, rel=1e-12)
+            inv = 1.0 / math.sqrt(2.0)
+            assert sm.alpha_minus == pytest.approx(inv, abs=1e-12)
+            assert sm.beta_minus == pytest.approx(inv, abs=1e-12)
+            assert sm.alpha_plus == pytest.approx(inv, abs=1e-12)
+            assert sm.beta_plus == pytest.approx(-inv, abs=1e-12)
 
     def test_uncoupled_rings_recovered(self):
         left = mode(W0 + TWO_PI * 500e6, TWO_PI * 190e6)
