@@ -1,19 +1,27 @@
 """Nonlinear least-squares recovery of device parameters from data.
 
 One backend serves every fit, one fit function per CLI `fit` kind
-(doublet, s11, power, step).  The nonlinear fitters share one damped
-least-squares solver (scipy's trust-region reflective solver, the bounded
-flavor of Levenberg-Marquardt damping): convergence at relative cost
-change < 1e-10 or gradient norm < 1e-8, evaluation cap 500 per parameter.
-Every nonlinear fit passes the analytic Jacobian of its model.  Scipy is
-imported on the first fit, so the verbs that never fit do not load it;
-nothing else in the package uses it.  The backend raises ConvergenceError
-when the solver stops without converging, so every report it returns has
-converged.  Covariances come from the Gauss-Newton
-approximation sigma^2 (J^T J)^-1 with sigma^2 the reduced residual
-variance.  When J^T J is singular there is no such estimate: the report
-gives those variances as None (JSON null), never NaN, and carries a
-'singular-covariance' flag.
+(doublet, s11, power, step).  Every nonlinear fit passes the analytic
+Jacobian of its model to `_solve`, a bounded Levenberg-Marquardt in numpy:
+it solves (J^T J + mu D^2) dx = -J^T r on the free parameters, with
+Marquardt's scaling (D^2 the running maximum of the squared column norms
+of J; More, "The Levenberg-Marquardt algorithm: implementation and
+theory", LNM 630, 1978) and Nielsen's damping update (Madsen, Nielsen &
+Tingleff, "Methods for Non-Linear Least Squares Problems", 2004).  A
+parameter at a bound that the gradient pushes against is held fixed, the
+trial point is clipped into the box, and a trial with a non-finite cost
+is a rejected step.  The fit has converged when an accepted step changes
+the cost by less than 1e-10 relative with gain ratio > 0.25; when the
+gradient, each entry times the distance to the bound that -gradient points
+at, is below 1e-8; or when no step changes the cost measurably (predicted and
+actual change below 1e-10 relative), as at a kink of the RC step's cost.
+At 500 residual evaluations per parameter the backend raises
+ConvergenceError instead, so every report it returns has converged.
+Covariances come from the Gauss-Newton approximation sigma^2 (J^T J)^-1
+with sigma^2 the reduced residual variance.  When J^T J is singular there
+is no such estimate: the report gives those variances as None (JSON
+null), never NaN, and carries a 'singular-covariance' flag, and its
+condition_number (of J with unit-norm columns, at the solution) is None.
 
 The efficiency-vs-power fit is the closed-form exception: its model is
 linear in the one parameter, so it is solved directly, with the same
@@ -24,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,7 +50,9 @@ class FitReport:
 
     parameters/covariance_diag are name-keyed maps; units records the unit
     string per parameter; flags carries non-fatal data-quality notices.
-    A variance is None where the covariance estimate does not exist.
+    A variance is None where the covariance estimate does not exist, and
+    then so is condition_number, the 2-norm condition number of the
+    Jacobian at the solution with its columns scaled to unit norm.
     """
 
     parameters: dict
@@ -52,6 +61,7 @@ class FitReport:
     iterations: int
     converged: bool
     covariance_diag: dict
+    condition_number: float | None = None
     flags: tuple[str, ...] = ()
     seed: int | None = None
 
@@ -59,10 +69,11 @@ class FitReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _report(units: dict, values, variances, residual_norm, nfev, flags=()) -> FitReport:
+def _report(units: dict, values, variances, residual_norm, nfev, condition=math.nan, flags=()) -> FitReport:
     """Every FitReport is made here.  `units` maps each parameter name to its
     unit, in the order of `values` and `variances`; a non-finite variance
-    is reported as None under one 'singular-covariance' flag."""
+    is reported as None under one 'singular-covariance' flag, and then the
+    condition number is None too, as it is when not finite."""
     names = tuple(units)
     cov = {n: float(v) if math.isfinite(v) else None for n, v in zip(names, variances)}
     missing = [n for n, v in cov.items() if v is None]
@@ -71,36 +82,72 @@ def _report(units: dict, values, variances, residual_norm, nfev, flags=()) -> Fi
                  + ", ".join(missing))
     return FitReport(parameters=dict(zip(names, map(float, values))), units=units,
                      residual_norm=residual_norm, iterations=nfev, converged=True,
-                     covariance_diag=cov, flags=tuple(flags))
+                     covariance_diag=cov, flags=tuple(flags),
+                     condition_number=float(condition) if math.isfinite(condition) and not missing else None)
+
+
+def _solve(residual_fn, jac, x0, lower, upper, what: str):
+    """Bounded Levenberg-Marquardt on the free parameters: returns x, the
+    residuals and the Jacobian there, and the residual evaluation count."""
+    n = len(x0)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = residual_fn(x)
+        cost, nfev, jx = 0.5 * float(r @ r), 1, jac(x)
+        if not math.isfinite(cost):
+            raise ValueError(f"{what}: residuals are not finite at the initial guess")
+        d2, mu, nu, small_change = np.zeros(n), 1e-3, 2.0, False
+        while True:
+            g, a = jx.T @ r, jx.T @ jx
+            d2 = np.maximum(d2, np.diag(a))  # Marquardt's scaling, never shrinking
+            scale = np.where(d2 > 0.0, d2, 1.0)
+            # distance to the bound along -g; a parameter with none is held
+            room = np.where(g > 0.0, x - lower, upper - x)
+            free = room > 0.0
+            if small_change or np.max(np.abs(g) * room) <= _GTOL:
+                return x, r, jx, nfev
+            a_free, g_free = a[np.ix_(free, free)], g[free]
+            while True:  # raise the damping until a step lowers the cost
+                if nfev >= _MAX_NFEV * n:
+                    raise ConvergenceError(f"{what} did not converge")
+                step = np.zeros(n)
+                step[free] = np.linalg.solve(a_free + mu * np.diag(scale[free]), -g_free)
+                trial = np.clip(x + step, lower, upper)
+                step = trial - x
+                predicted = -(g @ step + 0.5 * step @ a @ step)
+                r_trial = residual_fn(trial)
+                nfev += 1
+                cost_trial = 0.5 * float(r_trial @ r_trial)
+                rho = (cost - cost_trial) / predicted if predicted > 0.0 and math.isfinite(cost_trial) else -1.0
+                if rho > 0.0:
+                    break
+                if predicted <= _FTOL * cost and abs(cost - cost_trial) <= _FTOL * cost:
+                    return x, r, jx, nfev  # no step changes the cost measurably
+                mu, nu = mu * nu, 2.0 * nu
+            small_change = cost - cost_trial < _FTOL * cost and rho > 0.25
+            x, r, cost, jx = trial, r_trial, cost_trial, jac(trial)
+            mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0  # Nielsen's update
 
 
 def _run_fit(residual_fn, jac, x0, bounds, what: str):
     """Shared backend; `jac` is the callable Jacobian of `residual_fn`.
-    Returns (values, variances, residual norm, nfev) and raises
-    ConvergenceError('<what> did not converge')."""
-    from scipy.optimize import least_squares
-
-    with warnings.catch_warnings():
-        # scipy's trust-region subproblem can overflow, then divide by zero,
-        # in phi_and_derivative on step data (seed 301, dataset 46 of the
-        # benchmark's step files)
-        warnings.filterwarnings("ignore", category=RuntimeWarning,
-                                module=r"scipy\.optimize.*")
-        result = least_squares(residual_fn, x0, jac=jac, bounds=bounds, method="trf", ftol=_FTOL,
-                               gtol=_GTOL, xtol=None, max_nfev=_MAX_NFEV * len(x0))
-    if result.status <= 0:
-        raise ConvergenceError(f"{what} did not converge")
-    m, n = result.fun.size, len(x0)
+    Returns (values, variances, residual norm, nfev, condition number) and
+    raises ConvergenceError('<what> did not converge')."""
+    x, r, jx, nfev = _solve(residual_fn, jac, x0, *bounds, what)
+    m, n = jx.shape
+    norms = np.linalg.norm(jx, axis=0)
+    singular = np.linalg.svd(jx / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
+    condition = singular[0] / singular[-1] if singular[-1] > 0.0 else math.inf
     if m > n:
-        sigma2 = 2.0 * result.cost / (m - n)
+        sigma2 = float(r @ r) / (m - n)
         try:
-            jtj_inv = np.linalg.inv(result.jac.T @ result.jac)
+            jtj_inv = np.linalg.inv(jx.T @ jx)
             variances = np.clip(np.diag(jtj_inv), 0.0, None) * sigma2
         except np.linalg.LinAlgError:
             variances = np.full(n, np.nan)
     else:
         variances = np.zeros(n)
-    return result.x, variances, float(np.linalg.norm(result.fun)), int(result.nfev)
+    return x, variances, float(np.linalg.norm(r)), nfev, condition
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +298,12 @@ def _fit_doublet_single(omega, trans) -> FitReport:
     def sweep(x):  # (kappa_plus, kappa_minus, kappa_ex, splitting >= 0, omega_center - center0)
         return _doublet_sweep(offset, np.zeros(1), (*x[:3], 0.0, x[3], 0.0, x[4]))
 
-    x, variances, rnorm, nfev = _run_fit(lambda x: sweep(x)[0] - trans,
-                                         lambda x: sweep(x)[1][:, [0, 1, 2, 4, 6]],
-                                         x0, (lower, upper), "doublet fit")
+    x, variances, *stats = _run_fit(lambda x: sweep(x)[0] - trans,
+                                    lambda x: sweep(x)[1][:, [0, 1, 2, 4, 6]],
+                                    x0, (lower, upper), "doublet fit")
     x[4] += center0
     units = dict.fromkeys(("kappa_plus", "kappa_minus", "kappa_ex", "splitting", "omega_center"), "rad/s")
-    return _report(units, x, variances, rnorm, nfev, flags)
+    return _report(units, x, variances, *stats, flags)
 
 
 def _canonical_ring_labels(x, variances):
@@ -283,25 +330,27 @@ def _fit_doublet_sweep(omega, stack, bias) -> FitReport:
     delta_guess = signs * delta_mag
     slope0, delta00 = np.polyfit(bias, delta_guess, 1)
     center0 = float(np.mean(centers))
+    offset = omega - center0  # as in _fit_doublet_single
     span = omega[-1] - omega[0]
 
-    x0 = np.array([kappa0, kappa0, kappa_ex0, j0, delta00, slope0, center0])
+    x0 = np.array([kappa0, kappa0, kappa_ex0, j0, delta00, slope0, 0.0])
     bias_scale = max(float(np.max(np.abs(bias))), 1.0)
     lower = np.array([1e-6 * kappa0, 1e-6 * kappa0, 1e-8 * kappa0, 0.0,
-                      -10 * span, -10 * span / bias_scale, omega[0]])
+                      -10 * span, -10 * span / bias_scale, offset[0]])
     upper = np.array([100 * kappa0, 100 * kappa0, 50 * kappa0, 10 * span,
-                      10 * span, 10 * span / bias_scale, omega[-1]])
+                      10 * span, 10 * span / bias_scale, offset[-1]])
 
     data = stack.ravel()
-    x, variances, rnorm, nfev = _run_fit(
-        lambda theta: _doublet_sweep(omega, bias, theta)[0] - data,
-        lambda theta: _doublet_sweep(omega, bias, theta)[1],
+    x, variances, *stats = _run_fit(
+        lambda theta: _doublet_sweep(offset, bias, theta)[0] - data,
+        lambda theta: _doublet_sweep(offset, bias, theta)[1],
         x0, (lower, upper), "doublet sweep fit")
+    x[6] += center0
     x, variances = _canonical_ring_labels(x, variances)
     names = ("kappa_l", "kappa_r", "kappa_ex", "J", "delta", "delta_slope", "omega_center")
     units = dict.fromkeys(names, "rad/s")
     units["delta_slope"] = "rad/s per bias unit"
-    return _report(units, x, variances, rnorm, nfev, flags)
+    return _report(units, x, variances, *stats, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +419,8 @@ def fit_s11(omega, s11) -> FitReport:
         diff = s11_model(omega, *theta) - s11
         return np.concatenate([diff.real, diff.imag])
 
-    x, variances, rnorm, nfev = _run_fit(residuals, lambda theta: _s11_jac(omega, *theta),
-                                         x0, (lower, upper), "S11 fit")
+    x, variances, *stats = _run_fit(residuals, lambda theta: _s11_jac(omega, *theta),
+                                    x0, (lower, upper), "S11 fit")
     omega_m, kappa_m, kappa_ex_m = map(float, x)
     var_om, var_km, var_kexm = map(float, variances)
     q_m = omega_m / kappa_m
@@ -382,7 +431,7 @@ def fit_s11(omega, s11) -> FitReport:
                             + var_km / kappa_m ** 2)
     units = {"omega_m": "rad/s", "kappa_m": "rad/s", "kappa_ex_m": "rad/s", "Q_m": "1", "eta_m": "1"}
     return _report(units, (omega_m, kappa_m, kappa_ex_m, q_m, eta_m),
-                   (var_om, var_km, var_kexm, var_q, var_eta), rnorm, nfev, flags)
+                   (var_om, var_km, var_kexm, var_q, var_eta), *stats, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +505,9 @@ def fit_efficiency_power(power_in, eta_tot, fixed: dict) -> FitReport:
     var_g0 = (g0 / (2.0 * c0)) ** 2 * var_c0 if c0 > 0 else 0.0
 
     units = {"C0": "1", "g0": "rad/s", "slope": "1/W"}
-    # closed form: one evaluation, reported as iterations = 1
-    return _report(units, (c0, g0, slope), (var_c0, var_g0, var_slope), rnorm, 1, flags)
+    # closed form: one evaluation, reported as iterations = 1; one column,
+    # so its scaled Jacobian has condition number 1
+    return _report(units, (c0, g0, slope), (var_c0, var_g0, var_slope), rnorm, 1, 1.0, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +565,8 @@ def fit_rc_step(t, envelope) -> FitReport:
     lower = np.array([0.0, 1e-6 * tau0, float(t[0]) - span])
     upper = np.array([10.0 * plateau, 1e3 * tau0, float(t[-1])])
 
-    x, variances, rnorm, nfev = _run_fit(lambda theta: rc_step_model(t, *theta) - env,
-                                         lambda theta: _rc_step_jac(t, *theta),
-                                         x0, (lower, upper), "RC step fit")
+    x, variances, *stats = _run_fit(lambda theta: rc_step_model(t, *theta) - env,
+                                    lambda theta: _rc_step_jac(t, *theta),
+                                    x0, (lower, upper), "RC step fit")
     units = {"amplitude": "signal", "tau_rc": "s", "t0": "s"}
-    return _report(units, x, variances, rnorm, nfev)
+    return _report(units, x, variances, *stats)

@@ -27,11 +27,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from . import calibrate, quantumstats, response, timedomain
+from . import quantumstats, response, timedomain
 from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, InstabilityError
 from .hybridize import operating_point
@@ -43,6 +44,9 @@ from .model import (
     linear_to_db,
     photon_flux,
 )
+
+if TYPE_CHECKING:
+    from .calibrate import FitReport
 
 
 def _metadata_lines(cfg: RunConfig | None, command: str, seed: int | None) -> list[str]:
@@ -236,7 +240,9 @@ def cmd_fit(cfg: RunConfig | None, args) -> int:
     return 0
 
 
-def _fit(cfg: RunConfig | None, kind: str, data) -> calibrate.FitReport:
+def _fit(cfg: RunConfig | None, kind: str, data) -> FitReport:
+    from . import calibrate  # imported here so that only the fit verb loads it
+
     if kind == "doublet":
         freq, trans = _read_csv_columns(data, 2)
         return calibrate.fit_doublet(TWO_PI * freq, trans)

@@ -823,15 +823,18 @@ class TestEntryPoint:
         assert code == 0 and out.exists()
         assert scipy_modules == []
 
-    def test_fit_imports_scipy_lazily(self, tmp_path):
-        km = TWO_PI * 3.48e9 / 284
-        omega = TWO_PI * 3.48e9 + np.linspace(-8 * km, 8 * km, 500)
-        s11 = s11_model(omega, TWO_PI * 3.48e9, km, 0.11 * km)
-        data = tmp_path / "s11.csv"
-        np.savetxt(data, np.column_stack([omega / TWO_PI, s11.real, s11.imag]),
-                   delimiter=",", header="freq_hz,re,im", comments="")
-        out = tmp_path / "fit.json"
-        code, scipy_modules = self.probe(["fit", "s11", "--data", data, "--out", out])
-        assert code == 0
-        assert json.loads(out.read_text())["converged"]
-        assert "scipy.optimize" in scipy_modules
+    def test_cli_import_leaves_calibrate_to_the_fit_verb(self):
+        res = run_python("-c", "import sys, moptrans.cli; print('moptrans.calibrate' in sys.modules)")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split()[-1] == "False"
+
+    def test_fit_loads_no_scipy(self, tmp_path):
+        """The fits run on calibrate's own solver: no fit kind loads scipy."""
+        cfg = write_config(tmp_path, PAPER_CONFIG)
+        for kind in ("s11", "step", "power"):
+            out = tmp_path / f"{kind}.json"
+            code, scipy_modules = self.probe(["fit", kind, "--config", cfg, "--data",
+                                              write_fit_data(tmp_path, kind), "--out", out])
+            assert code == 0
+            assert json.loads(out.read_text())["converged"]
+            assert scipy_modules == [], kind
