@@ -17,7 +17,9 @@ empty `stages`, and `added_noise` and `pair_generation` are null.
 kappa_plus, kappa_minus, kappa_ex, splitting and omega_center; the
 bias-sweep keys kappa_l, kappa_r, kappa_ex, J, delta, delta_slope and
 omega_center come from `calibrate.fit_doublet` on a stack of spectra.
-Exit codes: 0 success, 1 config or usage error, 2 numerical
+The argument parser is built once per process, on the first `main` call.
+Exit codes: 0 success, 1 config or usage error (an unreadable config file
+and an output file that cannot be written are config errors), 2 numerical
 non-convergence, 3 physical instability.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -58,18 +61,25 @@ def _metadata_lines(cfg: RunConfig | None, command: str, seed: int | None) -> li
     return lines
 
 
-def _write_csv(path, cfg, command, seed, header: list[str], rows, diag: tuple[str, ...] = ()) -> None:
+def _write_text(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {str(path)!r}: {exc}") from exc
+
+
+def _write_csv(path, cfg, command, seed, header: list[str], columns, diag: tuple[str, ...] = ()) -> None:
+    """One row per index of the equal-length `columns`, formatted from Python
+    floats (`tolist`), which is faster than from numpy scalars."""
     fmt = ",".join(["%.12g"] * len(header))
-    text_rows = [fmt % row for row in rows]
+    text_rows = [fmt % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
     meta = _metadata_lines(cfg, command, seed) + [f"# diag: {d}" for d in diag]
-    body = meta + [",".join(header)] + text_rows
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(body) + "\n")
+    _write_text(path, "\n".join(meta + [",".join(header)] + text_rows) + "\n")
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_grid_flag(text: str) -> tuple[float, float, int]:
@@ -137,11 +147,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         s_ac[sel] = response.transfer_from_rates(op, "microwave", "optical", w)
         s_cc[sel] = response.transfer_from_rates(op, "microwave", "microwave", w)
 
-    rows = zip(freq_hz, eta, eta_off, s_ac.real, s_ac.imag, s_cc.real, s_cc.imag)
     _write_csv(
         args.out, cfg, "spectrum", args.seed,
         ["freq_hz", "eta_onchip", "eta_offchip", "s_ac_re", "s_ac_im", "s_cc_re", "s_cc_im"],
-        rows,
+        [freq_hz, eta, eta_off, s_ac.real, s_ac.imag, s_cc.real, s_cc.imag],
     )
     return 0
 
@@ -163,7 +172,7 @@ def cmd_power_sweep(cfg: RunConfig, args) -> int:
     _write_csv(
         args.out, cfg, "power-sweep", args.seed,
         ["power_dbm", "eta_tot", "eta_oc", "eta_int", "C", "n_bar"],
-        rows,
+        np.array(rows).T,
     )
     return 0
 
@@ -202,7 +211,7 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
     keep = np.append(np.arange(0, t.size - 1, stride), t.size - 1)
     diag = f"integrator_steps={t.size - 1} dt_s={dt!r} decimation_stride={stride}"
     _write_csv(args.out, cfg, "pulse", args.seed, ["t_s", "amp", "phase"],
-               zip(t[keep], amp[keep], phase[keep]), (diag,))
+               [t[keep], amp[keep], phase[keep]], (diag,))
     return 0
 
 
@@ -235,8 +244,7 @@ def cmd_fit(cfg: RunConfig | None, args) -> int:
         text = report.to_json()  # ValueError on a non-finite number
     except ValueError as exc:
         raise ConfigError(f"fit {args.kind}: {exc}") from exc
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_text(args.out, text + "\n")
     return 0
 
 
@@ -322,7 +330,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first call and shared after: parsing
+    does not change it, and building it (argparse checks every option's
+    help formatting) costs more than the work of a warm `budget` call."""
     parser = _Parser(prog="moptrans", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -180,9 +180,10 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError as exc:
+        text = blob.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    raw = parse_flat_toml(blob.decode("utf-8"))
+    raw = parse_flat_toml(text)
     _validate_keys(raw)
 
     try:

@@ -247,6 +247,16 @@ class TestConfigParsing:
         cfg = load_config(write_config(tmp_path, "\n".join(lines) + f"\n{key} = 0.0\n"))
         assert cfg.get(key) == 0.0
 
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        """A byte that is not UTF-8 used to end in a raw UnicodeDecodeError traceback."""
+        cfg = tmp_path / "latin1.toml"
+        cfg.write_bytes(b"# \xff\n" + PAPER_CONFIG.encode())
+        out = tmp_path / "budget.json"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file") and str(cfg) in err
+        assert not out.exists()
+
     def test_inf_splitting_spectrum_exits_1(self, tmp_path, capsys):
         """coupling_j_hz = inf used to end in a raw ValueError traceback."""
         cfg = write_config(tmp_path, PAPER_CONFIG.replace("coupling_j_hz = 1.74e9", "coupling_j_hz = inf"))
@@ -258,14 +268,15 @@ class TestConfigParsing:
 
 class TestCsvRows:
     def test_row_text_matches_per_value_format(self, tmp_path):
-        """One printf string per row gives the text of one format call per value."""
+        """One printf string per row over the columns gives the text of one
+        format call per value."""
         from moptrans.cli import _write_csv
 
         values = [0.0, -0.0, 1e-300, 1.23456789012345e300, float("nan"), float("inf"),
                   float("-inf"), np.float64(2.0 / 3.0), np.float64(-1e-7), 7, -123456789012345]
         rows = [tuple(values[i:i + 3]) for i in range(0, len(values) - 2)]
         path = tmp_path / "rows.csv"
-        _write_csv(path, None, "test", None, ["a", "b", "c"], rows)
+        _write_csv(path, None, "test", None, ["a", "b", "c"], [np.array(c) for c in zip(*rows)])
         lines = path.read_text().splitlines()
         assert lines[-len(rows):] == [",".join("{:.12g}".format(v) for v in row) for row in rows]
 
@@ -786,6 +797,83 @@ class TestEntryPoint:
         assert res.stderr.startswith("usage: moptrans")
         assert "error:" in res.stderr and "Traceback" not in res.stderr
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("defect", ["directory", "missing parent"])
+    @pytest.mark.parametrize("verb", ["spectrum", "budget", "fit"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, verb, defect):
+        """An --out that cannot be opened used to end in a raw IsADirectoryError
+        or FileNotFoundError traceback."""
+        out = tmp_path / "dir" if defect == "directory" else tmp_path / "missing" / "out"
+        if defect == "directory":
+            out.mkdir()
+        if verb == "fit":
+            argv = ["fit", "s11", "--data", str(write_fit_data(tmp_path, "s11"))]
+        else:
+            argv = [verb, "--config", str(PAPER_CONFIG_FILE)]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output file") and str(out) in err
+        assert out.is_dir() if defect == "directory" else not out.parent.exists()
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        """Calls in one process, usage errors, --version and --help among them,
+        each give the exit code, stdout, stderr and output bytes that the same
+        argv gives in a fresh interpreter."""
+        monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap alike in both processes
+        data = write_fit_data(tmp_path, "s11")
+        calls = [
+            (1, ["spectrum", "--config", PAPER_CONFIG_FILE]),
+            (0, ["--version"]),
+            (0, ["spectrum", "--help"]),
+            (0, ["spectrum", "--config", PAPER_CONFIG_FILE, "--out", "OUT", "--seed", "3"]),
+            (0, ["fit", "s11", "--data", data, "--out", "OUT"]),
+            (0, ["budget", "--config", PAPER_CONFIG_FILE, "--out", "OUT"]),
+            (1, ["budget", "--config", PAPER_CONFIG_FILE, "--out", "OUT", "--grid", "1,2,3"]),
+        ]
+        for k, (expected_code, argv) in enumerate(calls):
+            results = {}
+            for side in ("in-process", "fresh"):
+                out = tmp_path / side / f"{k}.out"
+                out.parent.mkdir(exist_ok=True)
+                args = [str(out) if a == "OUT" else str(a) for a in argv]
+                if side == "fresh":
+                    res = run_cli(*args)
+                    code, stdout, stderr = res.returncode, res.stdout, res.stderr
+                else:
+                    try:
+                        code = main(args)
+                    except SystemExit as exc:
+                        code = exc.code
+                    stdout, stderr = capsys.readouterr()
+                results[side] = (code, stdout, stderr, out.read_bytes() if out.exists() else None)
+            assert results["in-process"] == results["fresh"], argv
+            assert results["fresh"][0] == expected_code, argv
+
+    def test_parser_built_once_per_process(self, tmp_path):
+        """Importing the CLI builds no parser; the first `main` call builds
+        it and later calls reuse it."""
+        script = (
+            "import argparse, json, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(None)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import moptrans.cli\n"
+            "counts = [len(built)]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert moptrans.cli.main(argv) == 0\n"
+            "    counts.append(len(built))\n"
+            "print(json.dumps(counts))\n"
+        )
+        argv = [[verb, "--config", str(PAPER_CONFIG_FILE), "--out", str(tmp_path / f"{k}.out")]
+                for k, verb in enumerate(["budget", "power-sweep", "budget", "spectrum"])]
+        res = run_python("-c", script, json.dumps(argv))
+        assert res.returncode == 0, res.stderr
+        counts = json.loads(res.stdout.splitlines()[-1])
+        assert counts[0] == 0
+        assert counts[1] > 0 and counts[1:] == [counts[1]] * len(argv)
 
     def test_submodules_load_no_networkx_or_scipy(self):
         script = (
