@@ -51,6 +51,9 @@ from .model import (
 if TYPE_CHECKING:
     from .calibrate import FitReport
 
+_MAX_GRID_POINTS = 10 ** 6  # spectrum rows: about 115 MB of CSV
+_MAX_POWER_POINTS = 10 ** 5  # power-sweep rows: one efficiency ledger each
+
 
 def _metadata_lines(cfg: RunConfig | None, command: str, seed: int | None) -> list[str]:
     lines = [f"# moptrans {__version__}", f"# command: {command}"]
@@ -79,7 +82,12 @@ def _write_csv(path, cfg, command, seed, header: list[str], columns, diag: tuple
 
 
 def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite number is a config error and writes no file."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"the output would contain a non-finite number ({exc})") from exc
+    _write_text(path, text + "\n")
 
 
 def _parse_grid_flag(text: str) -> tuple[float, float, int]:
@@ -103,15 +111,21 @@ def _require_zero_pump_detuning(cfg: RunConfig, verb: str) -> None:
 
 
 def _grid_from(cfg: RunConfig, args) -> np.ndarray:
+    """The `spectrum` frequency grid [Hz], from --grid or the config; more
+    than _MAX_GRID_POINTS points is a config error raised before allocating."""
     if args.grid is not None:
         start, stop, n = _parse_grid_flag(args.grid)
+        key = "--grid n"
     else:
         start, stop, n = cfg.require("grid_start_hz", "grid_stop_hz", "grid_points")
+        key = "grid_points"
     n = int(n)
     if not np.isfinite([start, stop]).all():
         raise ConfigError(f"sweep grid start and stop must be finite, got {start!r}, {stop!r}")
     if n < 2 or stop <= start:
         raise ConfigError("sweep grid needs stop > start and at least 2 points")
+    if n > _MAX_GRID_POINTS:
+        raise ConfigError(f"{key} = {n} is more than {_MAX_GRID_POINTS} grid points")
     return np.linspace(float(start), float(stop), n)
 
 
@@ -156,11 +170,15 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def cmd_power_sweep(cfg: RunConfig, args) -> int:
+    """Efficiency chain at power_points pump powers; more than
+    _MAX_POWER_POINTS is a config error raised before allocating."""
     _require_zero_pump_detuning(cfg, "power-sweep")
     start, stop, n = cfg.require("power_start_dbm", "power_stop_dbm", "power_points")
     n = int(n)
     if n < 1 or not -np.inf < start <= stop:
         raise ConfigError("power sweep needs a finite start, stop >= start and at least 1 point")
+    if n > _MAX_POWER_POINTS:
+        raise ConfigError(f"power_points = {n} is more than {_MAX_POWER_POINTS}")
     dbm = np.linspace(float(start), float(stop), n)
     rows = []
     for p in dbm:

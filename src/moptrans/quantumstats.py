@@ -49,14 +49,16 @@ class NoiseReport:
 
 
 def n_thermal(omega: float, temperature: float) -> float:
-    """Bose-Einstein occupancy [exp(hbar omega / k_B T) - 1]^-1."""
+    """Bose-Einstein occupancy [exp(hbar omega / k_B T) - 1]^-1; 0 at T = 0
+    and wherever k_B T underflows to 0 (subnormal T)."""
     if omega <= 0.0:
         raise ValueError("frequency must be positive")
     if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
-    if temperature == 0.0:
+    k_t = K_B * temperature
+    if k_t == 0.0:
         return 0.0
-    x = HBAR * omega / (K_B * temperature)
+    x = HBAR * omega / k_t
     if x > 700.0:
         return 0.0
     return 1.0 / math.expm1(x)

@@ -26,10 +26,22 @@ at w + d, while chi_m stays at w.  It is zero for the transduction mode
 under a resonant pump.
 
 The on-chip photon-number conversion efficiency is |S_ac|^2 = |S_ca|^2 for
-either configuration.
+either configuration.  With chi_o^-1 = a - i(w + d) and chi_m^-1 = b - i w
+for the active supermode, S_ac = -i sqrt(kex_o kex_m) g /
+(chi_o^-1 chi_m^-1 +- |g|^2), whose squared modulus is real:
+
+    |S_ac|^2 = K / ((c - x y)^2 + (a y + b x)^2)
+
+    a = kappa_o/2,  b = kappa_m/2,  c = a b +- |g|^2,  K = kex_o kex_m |g|^2,
+    y = w,  x = w + d,
+
+with + for anti-Stokes and - for Stokes (c = a b (1 - C) > 0 below the
+Stokes threshold, so the denominator never vanishes).  Efficiency spectra
+are computed from this real form; `transfer_from_rates` gives the complex
+S parameters.
 
 Efficiency spectra are evaluated in blocks of _BLOCK grid points into one
-preallocated result, so their complex temporaries stay small (64 KB)
+preallocated result, so each temporary holds 4096 float64 values (32 KB)
 whatever the grid length.  Every operation is elementwise, so the result
 does not depend on the block size.
 """
@@ -166,15 +178,29 @@ def transfer_from_rates(op: OperatingPoint, from_port: str, to_port: str, omega)
 
 def _summed_eta(terms, omega):
     """Sum over `(op, shift)` terms of |S_cross|^2 at offsets `omega - shift`,
-    evaluated in blocks of _BLOCK points into one preallocated result."""
+    from the real closed form of the module docstring, evaluated in blocks of
+    _BLOCK points into one preallocated result."""
+    coefficients = []
+    for op, shift in terms:
+        check_stokes_threshold(op.configuration, op.cooperativity)
+        a, b = 0.5 * op.kappa_active, 0.5 * op.kappa_m
+        g2 = abs(op.g_active) ** 2
+        c = a * b + g2 if op.configuration is Configuration.ANTI_STOKES else a * b - g2
+        k = op.kappa_ex_active * op.kappa_ex_m * g2
+        coefficients.append((a, b, c, k, shift, op.sideband_detuning))
+
     omega = np.asarray(omega, dtype=float)
     flat = omega.ravel()
     eta = np.zeros(flat.size)
-    for k in range(0, flat.size, _BLOCK):
-        block = flat[k:k + _BLOCK]
-        for op, shift in terms:
-            s = transfer_from_rates(op, "microwave", "optical", block - shift)
-            eta[k:k + _BLOCK] += np.abs(s) ** 2
+    # far off resonance (|w| above about 1e154 rad/s) the denominator
+    # overflows to inf, and k / inf = 0 is the efficiency's limit there
+    with np.errstate(over="ignore"):
+        for i in range(0, flat.size, _BLOCK):
+            block = flat[i:i + _BLOCK]
+            for a, b, c, k, shift, d in coefficients:
+                y = block - shift
+                x = y + d
+                eta[i:i + _BLOCK] += k / ((c - x * y) ** 2 + (a * y + b * x) ** 2)
     return eta.reshape(omega.shape)
 
 

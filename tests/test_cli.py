@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import moptrans
-from moptrans import calibrate
+from moptrans import calibrate, cli
 from moptrans.calibrate import _report, doublet_transmission, rc_step_model, s11_model
 from moptrans.cli import _read_csv_columns, main
 from moptrans.config import _MODE_RE, _SCHEMA, load_config, parse_flat_toml
@@ -139,6 +139,18 @@ def strict_json(text):
         raise ValueError(f"non-finite JSON token {token}")
 
     return json.loads(text, parse_constant=reject)
+
+
+def refuse_huge_linspace(monkeypatch, cap):
+    """Make np.linspace fail, rather than allocate, above `cap` points, so a
+    missing size check fails its test instead of exhausting memory."""
+    linspace = np.linspace
+
+    def guarded(start, stop, num=50, *args, **kwargs):
+        assert num <= cap, f"np.linspace asked for {num} points"
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
 
 
 def read_csv(path):
@@ -334,6 +346,30 @@ class TestSpectrumCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["grid_points", "--grid"])
+    def test_grid_cap_is_config_error(self, tmp_path, capsys, monkeypatch, source):
+        """10**10 grid points used to go straight to np.linspace (80 GB):
+        exit 1 naming the key, before anything is allocated."""
+        refuse_huge_linspace(monkeypatch, cli._MAX_GRID_POINTS)
+        n = 10 ** 10
+        text = PAPER_CONFIG.replace("grid_points = 201", f"grid_points = {n}")
+        argv = ["spectrum", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "x.csv")]
+        if source == "--grid":
+            argv.append(f"--grid=3.4e9,3.5e9,{n}")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {source} ") and str(n) in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_far_off_resonance_grid(self, tmp_path):
+        """A grid near 1e300 Hz squares offsets past the float range; the
+        efficiency is its limit there, 0, with no overflow warning."""
+        cfg = write_config(tmp_path, PAPER_CONFIG)
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out), "--grid=1e300,2e300,5"]) == 0
+        data = read_csv(out)
+        assert np.all(data["eta_onchip"] == 0.0) and np.all(data["eta_offchip"] == 0.0)
+
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, PAPER_CONFIG)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -365,6 +401,17 @@ class TestPowerSweepCommand:
 
     def test_pump_detuning_rejected(self, tmp_path, capsys):
         check_pump_detuning(tmp_path, capsys, "power-sweep", "power.csv")
+
+    def test_power_points_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """10**10 power points used to go straight to np.linspace (80 GB):
+        exit 1 naming the key, before anything is allocated."""
+        refuse_huge_linspace(monkeypatch, cli._MAX_POWER_POINTS)
+        text = PAPER_CONFIG.replace("power_points = 8", f"power_points = {10 ** 10}")
+        out = tmp_path / "power.csv"
+        assert main(["power-sweep", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: power_points = 10000000000") and "Traceback" not in err
+        assert not out.exists()
 
     def test_tiny_power_row_is_negligible(self, tmp_path):
         text = PAPER_CONFIG.replace("power_start_dbm = 0.0", "power_start_dbm = -200.0")
@@ -700,6 +747,31 @@ class TestBudgetCommand:
         assert "discrepancy" in pair["note"]
         assert pair["numeric"] == pytest.approx(pair["closed_form"], rel=5e-3)
         assert report["added_noise"]["n_added_up"] >= 1.0
+
+    def test_non_finite_noise_is_config_error(self, tmp_path, capsys):
+        """mode2_kappa_ex_hz = 1e-300 makes the added noise infinite and NaN;
+        it used to exit 0 with NaN and Infinity tokens in the JSON."""
+        text = PAPER_CONFIG_FILE.read_text().replace("mode2_kappa_ex_hz = 1.43e6", "mode2_kappa_ex_hz = 1e-300")
+        out = tmp_path / "budget.json"
+        assert main(["budget", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the output would contain a non-finite number")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_subnormal_temperature_is_zero_kelvin(self, tmp_path):
+        """temperature_k = 5e-324 used to end in a raw ZeroDivisionError
+        (k_B T underflows to 0); the budget is the one at 0 K."""
+        reports = []
+        for kelvin in ("5e-324", "0.0"):
+            text = PAPER_CONFIG_FILE.read_text().replace("temperature_k = 298.0", f"temperature_k = {kelvin}")
+            out = tmp_path / "budget.json"
+            assert main(["budget", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+            report = strict_json(out.read_text())
+            del report["config_sha256"], report["thermal"]["temperature_k"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["thermal"]["n_thermal"] == 0.0
 
     def test_lossless_chain_collapse(self, tmp_path):
         text = PAPER_CONFIG.replace("probes_db = -3.0", "probes_db = -0.0")

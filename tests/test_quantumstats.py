@@ -26,6 +26,11 @@ class TestThermalOccupancy:
     def test_zero_temperature(self):
         assert n_thermal(TWO_PI * 3.5e9, 0.0) == 0.0
 
+    @pytest.mark.parametrize("temperature", [5e-324, 1e-320])
+    def test_subnormal_temperature(self, temperature):
+        """k_B T underflows to 0 here; this used to raise ZeroDivisionError."""
+        assert n_thermal(TWO_PI * 3.5e9, temperature) == 0.0
+
     def test_800mk_value(self):
         assert n_thermal(TWO_PI * 3.5e9, 0.8) == pytest.approx(4.3, rel=0.01)
 

@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from moptrans import response
 from moptrans.errors import InstabilityError
 from moptrans.hybridize import operating_point
 from moptrans.model import TWO_PI, Configuration, PumpConfig, dbm_to_watts, linear_to_db
@@ -20,7 +25,7 @@ from moptrans.response import (
 )
 from moptrans.sfg import antistokes_graph_from_rates, mason_gain, solve_gain, stokes_graph_from_rates
 
-from conftest import make_rates_op
+from conftest import make_paper_device, make_rates_op
 
 
 class TestScalars:
@@ -216,6 +221,66 @@ class TestTransfer:
                 transfer_from_rates(op, *ports, 0.0)
 
 
+@st.composite
+def detuned_ops(draw, configuration):
+    """A supermode-level operating point at C in [0, 0.99], rates drawn
+    log-uniform as in the seeded tests, and a sideband detuning d ~ N(0,
+    kappa_o) (the inverse normal CDF of a uniform draw)."""
+    kappa_m = TWO_PI * 10.0 ** draw(st.floats(6.0, 7.5))
+    kappa_o = TWO_PI * 10.0 ** draw(st.floats(7.5, 9.0))
+    op = make_rates_op(configuration, cooperativity=draw(st.floats(0.0, 0.99)),
+                       kappa_m=kappa_m, kappa_o=kappa_o,
+                       eta_m=draw(st.floats(0.01, 1.0)), eta_o=draw(st.floats(0.01, 1.0)))
+    z = statistics.NormalDist().inv_cdf(draw(st.floats(1e-6, 1.0 - 1e-6)))
+    return dataclasses.replace(op, sideband_detuning=z * kappa_o)
+
+
+@st.composite
+def eta_terms(draw):
+    """1-3 `(op, shift)` terms of one configuration, shifts within 5 kappa_m."""
+    configuration = draw(st.sampled_from(list(Configuration)))
+    ops = draw(st.lists(detuned_ops(configuration), min_size=1, max_size=3))
+    return [(op, draw(st.floats(-5.0, 5.0)) * op.kappa_m) for op in ops]
+
+
+class TestEfficiencyClosedForm:
+    """Efficiency spectra come from the real closed form of |S_ac|^2; the
+    complex S parameters of `transfer_from_rates` are its oracle."""
+
+    @given(terms=eta_terms())
+    def test_summed_eta_matches_transfer(self, terms):
+        scale = max(max(op.kappa_active, op.kappa_m) for op, _ in terms)
+        omega = np.linspace(-6.0, 6.0, 1201) * scale
+        expected = sum(
+            np.abs(transfer_from_rates(op, "microwave", "optical", omega - shift)) ** 2
+            for op, shift in terms
+        )
+        np.testing.assert_allclose(response._summed_eta(terms, omega), expected, rtol=1e-12, atol=0.0)
+
+    @given(c=st.floats(1.0, 100.0))
+    def test_eta_spectrum_stokes_instability_raises(self, c):
+        op = make_rates_op(Configuration.STOKES, cooperativity=c)
+        assume(op.cooperativity >= 1.0)
+        with pytest.raises(InstabilityError):
+            eta_spectrum_from_rates(op, np.linspace(-1.0, 1.0, 11) * op.kappa_m)
+
+    @given(c=st.floats(1.0, 100.0), n_modes=st.sampled_from([1, 2]),
+           detuning=st.floats(-1.0, 1.0))
+    def test_multimode_stokes_instability_raises(self, c, n_modes, detuning):
+        """The paper device with g0 scaled to put its transduction mode at
+        cooperativity c under a resonant Stokes pump at 21 dBm; the pump is
+        then detuned by up to one active linewidth."""
+        dev = make_paper_device(n_modes)
+        pump = PumpConfig(Configuration.STOKES, dbm_to_watts(21.0))
+        resonant = operating_point(dev, pump)
+        dev = dataclasses.replace(dev, g0=dev.g0 * math.sqrt(c / resonant.cooperativity))
+        pump_detuning = detuning * resonant.kappa_active
+        op = operating_point(dev, pump, dev.transduction_mode, pump_detuning)
+        assume(op.cooperativity >= 1.0)
+        with pytest.raises(InstabilityError):
+            multimode_spectrum(dev, pump, pump_detuning, np.linspace(-1.0, 1.0, 11) * op.kappa_m)
+
+
 class TestMultimode:
     def test_single_mode_reduces(self, paper_device, pump_21dbm):
         grid = np.linspace(-4, 4, 101) * TWO_PI * 13e6
@@ -275,26 +340,19 @@ class TestMultimode:
     @pytest.mark.parametrize("n_modes", [1, 2])
     @pytest.mark.parametrize("detuning_hz", [0.0, 20e6])
     @pytest.mark.parametrize("n_points", [4095, 4097, 20001])
-    def test_blocks_change_no_result(self, configuration, n_modes, detuning_hz, n_points):
-        """Grids are evaluated in blocks; the result equals the one-shot
-        evaluation of the whole grid bit for bit."""
-        from conftest import make_paper_device
-
+    def test_blocks_change_no_result(self, monkeypatch, configuration, n_modes, detuning_hz, n_points):
+        """Grids are evaluated in blocks; the result equals the same kernel
+        run over the whole grid in one block, bit for bit."""
         dev = make_paper_device(n_modes)
         pump = PumpConfig(configuration, dbm_to_watts(21.0))
         detuning = TWO_PI * detuning_hz
-        ref = dev.transduction_mode.omega_m
         grid = np.linspace(-TWO_PI * 500e6, TWO_PI * 100e6, n_points)
-        one_shot = sum(
-            np.abs(transfer_from_rates(operating_point(dev, pump, m, detuning),
-                                       "microwave", "optical", grid - (m.omega_m - ref))) ** 2
-            for m in dev.acoustic_modes
-        )
-        spec = multimode_spectrum(dev, pump, detuning, grid)
-        assert np.array_equal(spec.channel("eta_onchip"), one_shot)
-        if n_modes == 1 and detuning_hz == 0.0:
-            onchip = onchip_efficiency_spectrum(dev, pump, grid)
-            assert np.array_equal(onchip.channel("eta_onchip"), one_shot)
+        blocked = multimode_spectrum(dev, pump, detuning, grid).channel("eta_onchip")
+        onchip = onchip_efficiency_spectrum(dev, pump, grid).channel("eta_onchip")
+        monkeypatch.setattr(response, "_BLOCK", n_points)
+        one_shot = multimode_spectrum(dev, pump, detuning, grid).channel("eta_onchip")
+        assert np.array_equal(blocked, one_shot)
+        assert np.array_equal(onchip, onchip_efficiency_spectrum(dev, pump, grid).channel("eta_onchip"))
 
     def test_overlap_warning(self, paper_device, pump_21dbm):
         from moptrans.model import AcousticMode, DeviceParams
