@@ -4,7 +4,9 @@ The format is a TOML-compatible subset: one `key = value` pair per line,
 `#` comments, bare numbers, booleans and double-quoted strings.  All
 frequencies are ordinary (Hz) in the file and converted to angular units on
 load; unit suffixes (_hz, _dbm, _db, _k, _s, _kg) are part of the key names
-so a file is self-documenting.  Unknown keys are rejected.
+so a file is self-documenting.  Unknown keys are rejected, and so are a
+_dbm or _db value whose linear value overflows and device values from
+which the transduction operating point cannot be built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .hybridize import operating_point
 from .model import (
     TWO_PI,
     AcousticMode,
@@ -146,6 +149,12 @@ def _validate_keys(raw: dict) -> None:
     for key in _NON_NEGATIVE:
         if raw.get(key, 0.0) < 0.0:
             raise ConfigError(f"key {key!r} must be non-negative, got {raw[key]!r}")
+    for key, value in raw.items():
+        if key.endswith(("_dbm", "_db")):
+            try:
+                db_to_linear(value)
+            except OverflowError:
+                raise ConfigError(f"key {key!r} = {value!r} overflows as a linear power ratio") from None
 
 
 def _acoustic_modes(raw: dict) -> tuple[AcousticMode, ...]:
@@ -226,11 +235,20 @@ def load_config(path) -> RunConfig:
         pump = PumpConfig(configuration=configuration, power_in=power, omega_l=omega_l)
     except ValueError as exc:
         raise ConfigError(f"invalid pump settings: {exc}") from exc
+    pump_detuning = TWO_PI * float(raw.get("pump_detuning_hz", 0.0))
+    # the verbs build the supermodes and the transduction operating point
+    # from these values; values they cannot take are config errors here
+    try:
+        cooperativity = operating_point(device, pump, pump_detuning=pump_detuning).cooperativity
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"invalid device parameters: the operating point cannot be built: {exc}") from exc
+    if not math.isfinite(cooperativity):
+        raise ConfigError(f"invalid device parameters: the cooperativity is {cooperativity!r}")
 
     return RunConfig(
         device=device,
         pump=pump,
-        pump_detuning=TWO_PI * float(raw.get("pump_detuning_hz", 0.0)),
+        pump_detuning=pump_detuning,
         temperature=float(raw.get("temperature_k", 298.0)),
         raw=raw,
         sha256=hashlib.sha256(blob).hexdigest(),

@@ -314,6 +314,86 @@ class OperatingPoint:
         return max(self.kappa_minus, self.kappa_plus) / self.omega_m
 
 
+_D = tuple(tuple(x if o == k else 0.0 for k in range(5)) for o, x in enumerate((1.0, -1.0, 1.0, 1.0, 1.0)))
+
+
+@dataclass(frozen=True)
+class LinearModel:
+    """a' = A a + B u, y = C a + D u, each matrix a tuple of rows (numpy.array
+    makes it an array); sigma and sigma_u are the diagonals of the mode and
+    port metrics (-1: a creation operator)."""
+
+    modes: tuple[str, ...]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    a: tuple[tuple[complex, ...], ...]
+    b: tuple[tuple[float, ...], ...]
+    c: tuple[tuple[float, ...], ...]
+    d: tuple[tuple[float, ...], ...]
+    sigma: tuple[float, ...]
+    sigma_u: tuple[float, ...]
+
+
+def linear_model(op: OperatingPoint) -> LinearModel:
+    """The linearized, sideband-resolved transducer at `op`; the flow
+    graphs of `sfg` and the RK4 engine of `timedomain` are built from it.
+
+    Modes, in the order spectator, active, acoustic: (a_-, a_+, b) under
+    anti-Stokes pumping (pump on a_-), (a_+, a_-, b_dag) under Stokes
+    pumping (pump on a_+).  A is block diagonal; its coupled block is
+    A[a_+, b] = i g_+, A[b, a_+] = i g_+* (anti-Stokes) or A[a_-, b_dag] =
+    i g_-, A[b_dag, a_-] = -i g_-* (Stokes).  Frames: b rotates at omega_m
+    and both optical modes at the converted sideband, so the sideband
+    detuning d and the splitting s sit on the diagonal: -kappa/2 + i d on
+    the active mode, -kappa/2 + i (d + s) on a_- or -kappa/2 + i (d - s) on
+    a_+ as spectator, and -kappa_m/2 on the acoustic mode.  S(omega) = D +
+    C (-i omega - A)^-1 B at the common signal offset omega.
+
+    Ports: the optical bus a_in, the microwave port c_in (the anomalous
+    c_in_dag under Stokes pumping), then one intrinsic-loss port per mode,
+    <mode>_loss_in, anomalous for b_dag.  B holds sqrt(kappa_ex) and
+    sqrt(kappa - kappa_ex); D = diag(1, -1, 1, 1, 1) and C = -D B^dag.
+    Left out: the bus cross-damping -sqrt(kappa_ex,- kappa_ex,+)/2 between
+    the supermodes (the one term that breaks A sigma + sigma A^dag + B
+    sigma_u B^dag = 0), the counter-rotating terms at 2 omega_m, and the
+    pumped supermode's own coupling to b.
+    """
+    d, s = op.sideband_detuning, op.splitting
+    if op.configuration is Configuration.ANTI_STOKES:
+        modes, sign, spectator_offset = ("a_minus", "a_plus", "b"), 1.0, d + s
+        kappa = (op.kappa_minus, op.kappa_plus, op.kappa_m)
+        kappa_ex = (op.kappa_ex_minus, op.kappa_ex_plus, op.kappa_ex_m)
+        up, down = 1j * op.g_plus, 1j * op.g_plus.conjugate()
+    else:
+        modes, sign, spectator_offset = ("a_plus", "a_minus", "b_dag"), -1.0, d - s
+        kappa = (op.kappa_plus, op.kappa_minus, op.kappa_m)
+        kappa_ex = (op.kappa_ex_plus, op.kappa_ex_minus, op.kappa_ex_m)
+        up, down = 1j * op.g_minus, -1j * op.g_minus.conjugate()
+    diag = [-0.5 * k + 1j * w for k, w in zip(kappa, (spectator_offset, d, 0.0))]
+    ex = [math.sqrt(k) for k in kappa_ex]
+    # rounding can leave kappa - kappa_ex a few ulp below zero
+    loss = [math.sqrt(max(k - k_ex, 0.0)) for k, k_ex in zip(kappa, kappa_ex)]
+    b = (
+        (ex[0], 0.0, loss[0], 0.0, 0.0),
+        (ex[1], 0.0, 0.0, loss[1], 0.0),
+        (0.0, ex[2], 0.0, 0.0, loss[2]),
+    )
+    sigma_u = (1.0, sign, 1.0, 1.0, sign)
+    ports = ["a", "c"] + [f"{m.removesuffix('_dag')}_loss" for m in modes]
+    names = [(p, "_dag" if u < 0 else "") for p, u in zip(ports, sigma_u)]
+    return LinearModel(
+        modes=modes,
+        inputs=tuple(f"{p}_in{dag}" for p, dag in names),
+        outputs=tuple(f"{p}_out{dag}" for p, dag in names),
+        a=((diag[0], 0j, 0j), (0j, diag[1], up), (0j, down, diag[2])),
+        b=b,
+        c=tuple(tuple(-_D[o][o] * row[o] for row in b) for o in range(5)),  # B is real
+        d=_D,
+        sigma=(1.0, 1.0, sign),
+        sigma_u=sigma_u,
+    )
+
+
 def operating_point(
     params: DeviceParams,
     pump: PumpConfig,

@@ -9,24 +9,26 @@ one depth-first walk over the successor lists: each cycle is rooted at its
 earliest node, so it is found once, and a self-loop is a cycle of one
 node.  The physics graphs have at most 14 nodes and 2 loops.
 
-Builders translate the linearized transducer equations of motion into
-graphs whose Mason gains reproduce the closed-form S parameters.  All edge
-gains are evaluated at the common signal offset omega; conjugate-sector
-nodes (daggered operators) are separate graph nodes whose *couplings* carry
-the conjugation while the susceptibilities stay chi[omega] = 1/(-i omega +
-kappa/2), as the equations of motion dictate.
+`graph_from_rates` generates the physics graph of an operating point from
+`hybridize.linear_model`, whose docstring is the one description of the
+model: its frames, signs, anomalous ports and the terms it leaves out.
+Every edge gain is evaluated at the common signal offset omega.  The
+sideband detuning d sits on A's diagonal, so the active supermode's
+susceptibility is chi(omega + d) and the spectator's chi(omega + d +-
+splitting).  Conjugate-sector nodes (daggered operators, Stokes pumping
+only) are separate graph nodes whose gains are the conjugates of the
+model's, so there the detuning enters as chi(omega - d).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InstabilityError
-from .hybridize import OperatingPoint
+from .hybridize import OperatingPoint, linear_model
 
 GainFn = Callable[[float], complex]
 
@@ -239,105 +241,38 @@ def solve_gain(graph: FlowGraph, src: str, dst: str, omega: float) -> complex:
 # physics graphs
 # ---------------------------------------------------------------------------
 
-def _chi(kappa: float) -> Callable[[float], complex]:
-    return lambda w: 1.0 / (-1j * w + 0.5 * kappa)
-
-
-def antistokes_graph_from_rates(op: OperatingPoint) -> FlowGraph:
-    """Beam-splitter conversion graph (pump on the lower supermode).
-
-    Nodes: a_in, c_in (sources), a_minus, a_plus, b (internal), a_out,
-    c_out (sinks); the single loop b <-> a_plus carries gain
-    -|g_+|^2 chi_+ chi_m.  Evaluation offset omega is common to the
-    microwave signal (from omega_m) and the optical signal (from
-    omega_L + omega_m); the far-detuned spectator a_minus sees the signal
-    at chi_-[omega + splitting].  Models zero sideband detuning:
-    `op.sideband_detuning` is not read.
+def graph_from_rates(op: OperatingPoint) -> FlowGraph:
+    """Flow graph of `hybridize.linear_model(op)` over its two external
+    ports: each mode i is a node with chi_i = 1/(-i omega - A_ii), each
+    nonzero A_ij (j != i) or B_ik an edge into it of gain A_ij chi_i or
+    B_ik chi_i, and each nonzero C_oi or D_ok an edge into output o.  A
+    model with a conjugated mode (Stokes pumping) adds its conjugate
+    sector, the conjugate of every matrix with `_dag` toggled on every
+    name: 14 nodes and 20 edges in two mirror components, against 7 nodes
+    and 10 edges under anti-Stokes pumping.
     """
-    g = op.g_plus
-    chi_m = _chi(op.kappa_m)
-    chi_p = _chi(op.kappa_plus)
-    sq_ex_m = math.sqrt(op.kappa_ex_m)
-    sq_ex_p = math.sqrt(op.kappa_ex_plus)
-    sq_ex_mn = math.sqrt(op.kappa_ex_minus)
-    split = op.splitting
-
+    model = linear_model(op)
+    names = (model.modes, model.inputs[:2], model.outputs[:2])  # the bus and the microwave port
+    sectors = [(names, False)]
+    if min(model.sigma) < 0:
+        toggled = [tuple(n[:-4] if n.endswith("_dag") else n + "_dag" for n in group) for group in names]
+        sectors.append((toggled, True))
     fg = FlowGraph()
-    for name in ("a_in", "c_in", "a_minus", "a_plus", "b", "a_out", "c_out"):
-        fg.add_node(name)
-
-    fg.add_edge("c_in", "b", lambda w: sq_ex_m * chi_m(w))
-    fg.add_edge("b", "a_plus", lambda w: 1j * g * chi_p(w))
-    fg.add_edge("a_plus", "b", lambda w: 1j * g.conjugate() * chi_m(w))
-    fg.add_edge("a_in", "a_plus", lambda w: sq_ex_p * chi_p(w))
-    fg.add_edge(
-        "a_in", "a_minus",
-        lambda w: sq_ex_mn / (-1j * (w + split) + 0.5 * op.kappa_minus),
-    )
-    fg.add_edge("a_plus", "a_out", lambda w: -sq_ex_p)
-    fg.add_edge("a_minus", "a_out", lambda w: -sq_ex_mn)
-    fg.add_edge("b", "c_out", lambda w: sq_ex_m)
-    fg.add_edge("a_in", "a_out", lambda w: 1.0)
-    fg.add_edge("c_in", "c_out", lambda w: -1.0)
+    for (modes, inputs, outputs), conj in sectors:
+        for name in (*inputs, *modes, *outputs):
+            fg.add_node(name)
+        sources = modes + inputs  # zip below stops at the external inputs
+        for i, mode in enumerate(modes):
+            pole = model.a[i][i].conjugate() if conj else model.a[i][i]
+            for src, v in zip(sources, model.a[i] + model.b[i]):
+                if v and src != mode:
+                    fg.add_edge(src, mode, lambda w, g=v.conjugate() if conj else v, p=pole: g / (-1j * w - p))
+        for o, dst in enumerate(outputs):
+            for src, v in zip(sources, model.c[o] + model.d[o]):
+                if v:
+                    fg.add_edge(src, dst, lambda w, g=v.conjugate() if conj else v: g)
     return fg
 
 
-def stokes_graph_from_rates(op: OperatingPoint) -> FlowGraph:
-    """Two-mode-squeezing conversion graph (pump on the upper supermode).
-
-    Conjugated operators are separate nodes, giving two mirror components:
-    the optical-annihilation sector {a_in, c_in_dag, a_minus, b_dag, a_out,
-    c_out_dag} with loop |g_-|^2 chi_- chi_m, and the microwave sector
-    {c_in, a_in_dag, b, a_minus_dag, c_out, a_out_dag} with the same loop
-    gain; both determinants are 1 - |g_-|^2 chi_-[w] chi_m[w].  Models zero
-    sideband detuning: `op.sideband_detuning` is not read.
-    """
-    g = op.g_minus
-    chi_m = _chi(op.kappa_m)
-    chi_mn = _chi(op.kappa_minus)
-    sq_ex_m = math.sqrt(op.kappa_ex_m)
-    sq_ex_p = math.sqrt(op.kappa_ex_plus)
-    sq_ex_mn = math.sqrt(op.kappa_ex_minus)
-    split = op.splitting
-
-    fg = FlowGraph()
-    for name in (
-        "a_in", "c_in_dag", "c_in", "a_in_dag",
-        "a_minus", "a_plus", "b_dag", "b", "a_minus_dag", "a_plus_dag",
-        "a_out", "c_out_dag", "c_out", "a_out_dag",
-    ):
-        fg.add_node(name)
-
-    # optical-annihilation sector: carries S_aa and the up-conversion
-    # anomalous coefficient S_{a_out <- c_in^dag}
-    fg.add_edge("c_in_dag", "b_dag", lambda w: sq_ex_m * chi_m(w))
-    fg.add_edge("b_dag", "a_minus", lambda w: 1j * g * chi_mn(w))
-    fg.add_edge("a_minus", "b_dag", lambda w: -1j * g.conjugate() * chi_m(w))
-    fg.add_edge("a_in", "a_minus", lambda w: sq_ex_mn * chi_mn(w))
-    fg.add_edge(
-        "a_in", "a_plus",
-        lambda w: sq_ex_p / (-1j * (w - split) + 0.5 * op.kappa_plus),
-    )
-    fg.add_edge("a_minus", "a_out", lambda w: -sq_ex_mn)
-    fg.add_edge("a_plus", "a_out", lambda w: -sq_ex_p)
-    fg.add_edge("b_dag", "c_out_dag", lambda w: sq_ex_m)
-    fg.add_edge("a_in", "a_out", lambda w: 1.0)
-    fg.add_edge("c_in_dag", "c_out_dag", lambda w: -1.0)
-
-    # microwave sector: carries S_cc and the down-conversion anomalous
-    # coefficient S_{c_out <- a_in^dag}
-    fg.add_edge("c_in", "b", lambda w: sq_ex_m * chi_m(w))
-    fg.add_edge("b", "a_minus_dag", lambda w: -1j * g.conjugate() * chi_mn(w))
-    fg.add_edge("a_minus_dag", "b", lambda w: 1j * g * chi_m(w))
-    fg.add_edge("a_in_dag", "a_minus_dag", lambda w: sq_ex_mn * chi_mn(w))
-    fg.add_edge(
-        "a_in_dag", "a_plus_dag",
-        lambda w: sq_ex_p / (-1j * (w + split) + 0.5 * op.kappa_plus),
-    )
-    fg.add_edge("a_minus_dag", "a_out_dag", lambda w: -sq_ex_mn)
-    fg.add_edge("a_plus_dag", "a_out_dag", lambda w: -sq_ex_p)
-    fg.add_edge("b", "c_out", lambda w: sq_ex_m)
-    fg.add_edge("a_in_dag", "a_out_dag", lambda w: 1.0)
-    fg.add_edge("c_in", "c_out", lambda w: -1.0)
-    return fg
-
+# one generator serves both pump configurations; these are its established names
+antistokes_graph_from_rates = stokes_graph_from_rates = graph_from_rates

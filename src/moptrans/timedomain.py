@@ -1,14 +1,11 @@
 """Mean-field time-domain integration and pulsed/lock-in simulation.
 
-The integrator evolves slowly varying mode envelopes in the interaction
-picture of the chosen pump configuration; optical carriers never appear.
+The integrator evolves slowly varying mode envelopes under the equations
+of `hybridize.linear_model`, whose docstring describes the model (frames,
+signs, anomalous ports, terms left out); optical carriers never appear.
 Langevin noise operators are replaced by deterministic drive amplitudes
 (mean-field), so every trajectory is reproducible.  Every mode starts
-empty, and every step is recorded.  Counter-rotating optomechanical terms
-(oscillating at 2 omega_m) are dropped; the far-detuned spectator
-supermode is kept, with its drive phase rotating at the supermode
-splitting, so optical-port responses include the spectator contribution
-present in the closed forms.
+empty, and every step is recorded.
 
 Stepping: the equations are linear, so one classical RK4 step is the
 affine map y_{k+1} = M_k y_k + u_k, whose coefficients come from the
@@ -21,18 +18,14 @@ of its 2x2 complex maps (`_scan_pair`): doubling passes inside chunks of
 _PAIR_CHUNK steps, then a serial carry across the chunks.  Both sum in
 another order than a per-step loop, so they match it to rounding only.
 
-Envelope frames:
-  a_minus, a_plus  relative to their own supermode resonances,
-  b                relative to the acoustic resonance,
-  optical drive    relative to the pump frequency omega_L,
-  microwave drive  relative to the acoustic resonance.
-
-Input-output synthesis:
-  anti-Stokes: a_out(t) = a_in(t) - sqrt(kex_-) a_-(t)
-                          - sqrt(kex_+) a_+(t) exp(-i splitting t)
-  Stokes:      a_out(t) = a_in(t) - sqrt(kex_-) a_-(t) exp(+i splitting t)
-                          - sqrt(kex_+) a_+(t)
-  either:      c_out(t) = -c_in(t) + sqrt(kex_m) b(t)
+Frames are the model's, except that the spectator (mode 0 of A, which is
+decoupled) runs in its own resonance frame, which is also the frame of
+the optical drive (the pump frequency under a resonant pump).  The active
+mode runs relative to the converted sideband, its resonance shifted by
+the sideband detuning d; b and the microwave drive relative to the
+acoustic resonance.  The optical drive reaches the active mode as a_in(t)
+exp(i Im(A_ss) t), and the active mode reaches a_out with exp(-i Im(A_ss)
+t), where Im(A_ss) = d + splitting (anti-Stokes) or d - splitting (Stokes).
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InstabilityError
-from .hybridize import OperatingPoint, operating_point
+from .hybridize import OperatingPoint, linear_model, operating_point
 from .model import TWO_PI, Configuration, DeviceParams, PumpConfig, check_stokes_threshold
 
 _OVERFLOW = 1e12
@@ -257,12 +250,12 @@ def integrate(
     """Fixed-step RK4 integration of the linearized equations of motion,
     from empty modes at t0, recording every step.
 
-    Models zero sideband detuning: `op.sideband_detuning` is not read.
-    The spectator (a_- under anti-Stokes, a_+ under Stokes) is decoupled;
-    (a_+, b), or (a_-, conj b) under Stokes, is a complex-linear pair.  The
-    steps run as the affine recurrence y_{k+1} = M_k y_k + u_k in blocks of
-    _BLOCK steps; each drive is called once per step time and once per
-    midpoint.
+    The equations are those of `hybridize.linear_model(op)`, sideband
+    detuning included: the spectator is decoupled, and the active mode and
+    b (b_dag, driven by the conjugate microwave drive, under Stokes) form a
+    complex-linear pair.  The steps run as the affine recurrence y_{k+1} =
+    M_k y_k + u_k in blocks of _BLOCK steps; each drive is called once per
+    step time and once per midpoint.
 
     Parameters
     ----------
@@ -271,18 +264,21 @@ def integrate(
     drives : dict with optional keys "optical" and "microwave", each a
         callable t -> complex envelope (see module docstring for frames).
     t_span : (t0, t1) integration window [s].
-    dt : step [s]; validated against 50 samples per fastest rate, where the
-        fastest rate includes the supermode splitting whenever an optical
-        drive is present (its spectator phase rotates at the splitting).
+    dt : step [s]; validated against 50 samples per fastest rate: the
+        largest linewidth plus |d|, plus |Im(A_ss)| whenever an optical
+        drive is present (its phase on the pair rotates at that rate).
     max_drive_freq : fastest frequency content of the drive envelopes [Hz],
         declared by the caller for step validation.
     """
     opt = drives.get("optical")
     mw = drives.get("microwave")
+    model = linear_model(op)
+    a, b = model.a, model.b
+    spectator = a[0][0]  # A is block diagonal: mode 0 alone, modes 1 and 2 coupled
 
-    fastest = max(op.kappa_minus, op.kappa_plus, op.kappa_m) / TWO_PI + max_drive_freq
+    fastest = (max(-2.0 * a[i][i].real for i in range(3)) + abs(a[1][1].imag)) / TWO_PI + max_drive_freq
     if opt is not None:
-        fastest += op.splitting / TWO_PI
+        fastest += abs(spectator.imag) / TWO_PI
     if dt > 1.0 / (50.0 * fastest):
         raise ValueError(
             f"step dt={dt!r} too coarse: need dt <= {1.0 / (50.0 * fastest)!r}"
@@ -291,32 +287,20 @@ def integrate(
     t0, t1 = t_span
     n_steps = int(math.ceil((t1 - t0) / dt))
 
-    km, kp, kb = 0.5 * op.kappa_minus, 0.5 * op.kappa_plus, 0.5 * op.kappa_m
-    sm_, sp_, sb_ = (
-        math.sqrt(op.kappa_ex_minus),
-        math.sqrt(op.kappa_ex_plus),
-        math.sqrt(op.kappa_ex_m),
-    )
-    antistokes = op.configuration is Configuration.ANTI_STOKES
-
     def sample(fn, ts):
         return np.fromiter(map(fn, ts.tolist()), complex, ts.size)
 
     def inputs(ts):
         a_in = 0.0 if opt is None else sample(opt, ts)
         c_in = 0.0 if mw is None else sample(mw, ts)
-        if antistokes:
-            return sm_ * a_in, 1.0, sp_ * a_in * np.exp(1j * op.splitting * ts), sb_ * c_in
-        return sp_ * a_in, 1.0, sm_ * a_in * np.exp(-1j * op.splitting * ts), sb_ * np.conj(c_in)
+        c_in = np.conj(c_in) if model.sigma_u[1] < 0 else c_in  # an anomalous microwave port
+        # a_in is in the spectator's frame, Im(A_ss) off the pair's
+        return b[0][0] * a_in, 1.0, b[1][0] * a_in * np.exp(1j * spectator.imag * ts), b[2][1] * c_in
 
-    if antistokes:  # spectator a_-, pair (a_+, b)
-        g = op.g_plus
-        t, am, ap, b = _stepper(t0, dt, n_steps, -km, (-kp, -kb, 1j * g, 1j * g.conjugate()), inputs)
-    else:  # spectator a_+, pair (a_-, conj b)
-        g = op.g_minus
-        t, ap, am, b = _stepper(t0, dt, n_steps, -kp, (-km, -kb, 1j * g, -1j * g.conjugate()), inputs)
-        b = b.conj()
-    return Trajectory(t=t, a_minus=am, a_plus=ap, b=b)
+    pair = (a[1][1], a[2][2], a[1][2], a[2][1])  # (d0, d1, c0, c1)
+    t, *states = _stepper(t0, dt, n_steps, spectator.real, pair, inputs)
+    return Trajectory(t=t, **{name.removesuffix("_dag"): v if sign > 0 else v.conj()
+                              for name, sign, v in zip(model.modes, model.sigma, states)})
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +370,20 @@ def pulsed_downconversion(
     if n > _MAX_PULSE_STEPS:
         raise ValueError(f"the pulsed window needs {n} integrator steps, more than {_MAX_PULSE_STEPS}")
 
-    # intracavity pump ring-up -> g_-(t); a_plus is pumped under Stokes
-    kp = 0.5 * op.kappa_plus
-    km, kb = 0.5 * op.kappa_minus, 0.5 * op.kappa_m
-    sm_ = math.sqrt(op.kappa_ex_minus)
-    sb_out = math.sqrt(op.kappa_ex_m)
-    g_peak = op.g_minus  # at full pump
+    # x: the pumped spectator's amplitude over its steady state, its RK4
+    # stages scaling the pair's couplings (A holds them at full pump).
+    # Keeping only t and the acoustic mode frees the rest early.
+    model = linear_model(op)
+    a, b = model.a, model.b
+    lam = a[0][0].real
     s_opt = math.sqrt(optical_input_flux)
 
     def inputs(ts):
-        return kp * pulse.envelope(ts, t_start), None, sm_ * s_opt, 0.0
+        return -lam * pulse.envelope(ts, t_start), None, b[1][0] * s_opt, 0.0
 
-    # x: pump amplitude over its steady state, its RK4 stages scaling g_-;
-    # pair (a_-, conj b).  Keeping only t and conj b frees the rest early.
-    t, b_conj = _stepper(0.0, dt, n, -kp, (-km, -kb, 1j * g_peak, -1j * g_peak.conjugate()), inputs)[::3]
-    c_out_env = sb_out * b_conj.conj()  # no microwave input
+    pair = (a[1][1], a[2][2], a[1][2], a[2][1])
+    t, b_dag = _stepper(0.0, dt, n, lam, pair, inputs)[::3]
+    c_out_env = (model.c[1][2] * b_dag).conj()  # c_out_dag; no microwave input
     waveform = np.real(c_out_env * np.exp(-1j * op.omega_m * t))
     amp, phase = lockin_demodulate(t, waveform, lockin)
     return t, amp, phase

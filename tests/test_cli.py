@@ -269,6 +269,40 @@ class TestConfigParsing:
         assert err.startswith("config error: cannot read config file") and str(cfg) in err
         assert not out.exists()
 
+    @staticmethod
+    def with_line(line):
+        key = line.split(" = ")[0]
+        return "\n".join(line if l.startswith(key + " =") else l for l in PAPER_CONFIG.splitlines())
+
+    @pytest.mark.parametrize("line, verb", [("probes_db = 3e9", "spectrum"),
+                                            ("pump_power_dbm = 1e20", "spectrum"),
+                                            ("power_stop_dbm = 1e20", "power-sweep")])
+    def test_overflowing_db_value_is_config_error(self, tmp_path, capsys, line, verb):
+        """Each used to end in a raw OverflowError traceback."""
+        cfg = write_config(tmp_path, self.with_line(line))
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and line.split(" = ")[0] in err and "overflows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["spectrum", "power-sweep", "budget"])
+    @pytest.mark.parametrize("line", ["right_kappa_ex_hz = 1e300", "left_freq_hz = 1e300", "g0_hz = 1e300",
+                                      "g0_hz = 1e306"])
+    def test_unbuildable_operating_point_is_config_error(self, tmp_path, capsys, line, verb):
+        """The supermodes and the operating point are built at load: these
+        used to end in a raw ValueError (linewidths) or OverflowError (g0)
+        traceback.  g0_hz = 1e306 overflows the coupling to inf without an
+        exception, so an infinite cooperativity is refused too."""
+        cfg = write_config(tmp_path, self.with_line(line))
+        with pytest.raises(ConfigError, match="invalid device parameters"):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid device parameters") and "Traceback" not in err
+        assert not out.exists()
+
     def test_inf_splitting_spectrum_exits_1(self, tmp_path, capsys):
         """coupling_j_hz = inf used to end in a raw ValueError traceback."""
         cfg = write_config(tmp_path, PAPER_CONFIG.replace("coupling_j_hz = 1.74e9", "coupling_j_hz = inf"))

@@ -1,12 +1,17 @@
+import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moptrans.hybridize import (
     effective_couplings,
     eigen_oracle,
     left_ring_decomposition,
+    linear_model,
     operating_point,
     steady_state_amplitudes,
     supermodes,
@@ -19,7 +24,8 @@ from moptrans.model import (
     dbm_to_watts,
 )
 
-from conftest import OMEGA_1550, intracavity_photons
+from conftest import OMEGA_1550, intracavity_photons, make_rates_op
+from test_response import detuned_ops
 
 W0 = OMEGA_1550
 
@@ -254,3 +260,52 @@ class TestOperatingPoint:
     def test_sideband_resolution_flag(self, paper_device, pump_21dbm):
         op = operating_point(paper_device, pump_21dbm)
         assert op.sideband_resolution == pytest.approx(172e6 / 3.48e9, rel=1e-6)
+
+
+@st.composite
+def phased_ops(draw):
+    """A detuned supermode-level operating point of either configuration,
+    its couplings turned by one random phase."""
+    op = draw(detuned_ops(draw(st.sampled_from(list(Configuration)))))
+    turn = cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return dataclasses.replace(op, g_minus=op.g_minus * turn, g_plus=op.g_plus * turn)
+
+
+class TestLinearModel:
+    @given(op=phased_ops())
+    def test_realizability(self, op):
+        """A sigma + sigma A^dag + B sigma_u B^dag = 0 (James, Nurdin &
+        Petersen, IEEE TAC 53, 1787 (2008)) but for the bus cross-damping
+        that the model leaves out: sqrt(kex_- kex_+) at (a_-, a_+) and
+        (a_+, a_-)."""
+        m = linear_model(op)
+        a, b = np.array(m.a), np.array(m.b)
+        sigma, sigma_u = np.diag(m.sigma), np.diag(m.sigma_u)
+        residual = a @ sigma + sigma @ a.conj().T + b @ sigma_u @ b.conj().T
+        bus = np.zeros((3, 3))
+        i, j = m.modes.index("a_minus"), m.modes.index("a_plus")
+        bus[i, j] = bus[j, i] = math.sqrt(op.kappa_ex_minus * op.kappa_ex_plus)
+        scale = max(op.kappa_minus, op.kappa_plus, op.kappa_m)
+        assert np.max(np.abs(residual - bus)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("configuration, modes, inputs, sigma_u", [
+        (Configuration.ANTI_STOKES, ("a_minus", "a_plus", "b"),
+         ("a_in", "c_in", "a_minus_loss_in", "a_plus_loss_in", "b_loss_in"), (1, 1, 1, 1, 1)),
+        (Configuration.STOKES, ("a_plus", "a_minus", "b_dag"),
+         ("a_in", "c_in_dag", "a_plus_loss_in", "a_minus_loss_in", "b_loss_in_dag"), (1, -1, 1, 1, -1)),
+    ])
+    def test_names_and_detuning(self, configuration, modes, inputs, sigma_u):
+        """Spectator, active and acoustic modes in that order; d on the
+        active diagonal, d +- s on the spectator's."""
+        op = dataclasses.replace(make_rates_op(configuration), sideband_detuning=TWO_PI * 7e6)
+        m = linear_model(op)
+        assert m.modes == modes and m.inputs == inputs
+        assert m.outputs == tuple(n.replace("_in", "_out") for n in inputs)
+        assert m.sigma_u == sigma_u
+        s = op.splitting if configuration is Configuration.ANTI_STOKES else -op.splitting
+        a = np.array(m.a)
+        assert a[0, 0].imag == op.sideband_detuning + s
+        assert a[1, 1].imag == op.sideband_detuning
+        assert a[2, 2].imag == 0.0
+        assert not np.any(a[0, 1:]) and not np.any(a[1:, 0])
+        np.testing.assert_array_equal(np.array(m.c), -np.array(m.d) @ np.array(m.b).T)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moptrans.errors import InstabilityError
 from moptrans.model import TWO_PI, Configuration
@@ -10,12 +12,14 @@ from moptrans.response import transfer_from_rates
 from moptrans.sfg import (
     FlowGraph,
     antistokes_graph_from_rates,
+    graph_from_rates,
     mason_gain,
     solve_gain,
     stokes_graph_from_rates,
 )
 
 from conftest import make_rates_op
+from test_response import detuned_ops
 
 
 def constant(value):
@@ -198,10 +202,15 @@ class TestSolverEquivalence:
 
 class TestAntiStokesGraph:
     def test_node_edge_count(self):
-        op = make_rates_op(Configuration.ANTI_STOKES)
-        g = antistokes_graph_from_rates(op)
-        assert len(g.nodes) == 7
-        assert len(g.edges) == 10
+        """The graphs hold the external ports only; the Stokes graph adds
+        the conjugate sector."""
+        for builder, configuration, nodes, edges in (
+            (antistokes_graph_from_rates, Configuration.ANTI_STOKES, 7, 10),
+            (stokes_graph_from_rates, Configuration.STOKES, 14, 20),
+        ):
+            g = builder(make_rates_op(configuration))
+            assert len(g.nodes) == nodes
+            assert len(g.edges) == edges
 
     def test_decoupled_limit(self):
         op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.0)
@@ -270,3 +279,40 @@ class TestStokesGraph:
         det1 = mason_gain(g, "c_in_dag", "a_out", w).determinant
         det2 = mason_gain(g, "c_in", "c_out", w).determinant
         assert det1 == pytest.approx(det2, rel=1e-12)
+
+
+# (from_port, to_port) of `transfer_from_rates` -> (source, sink) nodes
+ANTI_STOKES_PORTS = {
+    ("microwave", "optical"): ("c_in", "a_out"),
+    ("optical", "microwave"): ("a_in", "c_out"),
+    ("microwave", "microwave"): ("c_in", "c_out"),
+    ("optical", "optical"): ("a_in", "a_out"),
+}
+# the optical-annihilation sector only: the microwave sector's entries equal
+# the closed forms evaluated at -d
+STOKES_PORTS = {
+    ("microwave", "optical"): ("c_in_dag", "a_out"),
+    ("optical", "optical"): ("a_in", "a_out"),
+}
+
+
+class TestDetunedGraphs:
+    """The graphs read the sideband detuning d through the linear model and
+    match the closed forms, Mason and solve alike, at d ~ N(0, kappa_o)."""
+
+    @staticmethod
+    def check(op, ports, x):
+        graph = graph_from_rates(op)
+        w = x * op.kappa_m
+        for (fp, tp), (src, dst) in ports.items():
+            cf = transfer_from_rates(op, fp, tp, w)
+            for got in (mason_gain(graph, src, dst, w).value, solve_gain(graph, src, dst, w)):
+                assert abs(got - cf) <= 1e-10 * abs(cf), (fp, tp)
+
+    @given(op=detuned_ops(Configuration.ANTI_STOKES), x=st.floats(-4.0, 4.0))
+    def test_antistokes_matches_closed_forms(self, op, x):
+        self.check(op, ANTI_STOKES_PORTS, x)
+
+    @given(op=detuned_ops(Configuration.STOKES), x=st.floats(-4.0, 4.0))
+    def test_stokes_optical_sector_matches_closed_forms(self, op, x):
+        self.check(op, STOKES_PORTS, x)

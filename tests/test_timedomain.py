@@ -1,9 +1,12 @@
 import cmath
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moptrans.calibrate import fit_rc_step
 from moptrans.errors import InstabilityError
@@ -246,10 +249,12 @@ def _pair_loop_ref(rows, y0, y1, n):
 
 def _dt_for(op, extra_hz=0.0, factor=60.0, optical_drive=False):
     """Step satisfying the integrator's conservative bound (which adds the
-    supermode splitting whenever an optical drive is present)."""
-    fastest = max(op.kappa_minus, op.kappa_plus, op.kappa_m) / TWO_PI + extra_hz
+    sideband detuning, and the spectator's offset d +- splitting whenever
+    an optical drive is present)."""
+    d = abs(op.sideband_detuning)
+    fastest = (max(op.kappa_minus, op.kappa_plus, op.kappa_m) + d) / TWO_PI + extra_hz
     if optical_drive:
-        fastest += op.splitting / TWO_PI
+        fastest += (op.splitting + d) / TWO_PI
     return 1.0 / (factor * fastest)
 
 
@@ -350,6 +355,20 @@ class TestIntegrate:
                                             nu if cfg is Configuration.ANTI_STOKES else -nu)
                 assert abs(s_opt2 - cf_aa) / abs(cf_aa) < 1e-3
                 assert abs(s_mw2 - cf_ca) / abs(cf_ca) < 1e-3
+
+    @settings(max_examples=4)
+    @given(c=st.floats(0.01, 0.9), z=st.floats(-3.0, 3.0).filter(lambda z: abs(z) > 0.05),
+           x=st.floats(-3.0, 3.0))
+    def test_detuned_microwave_drive_matches_closed_forms(self, c, z, x):
+        """At sideband detuning d = z kappa_o the anti-Stokes steady state
+        reads d through the model: S_ac and S_cc at offset x kappa_m."""
+        op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=c)
+        op = dataclasses.replace(op, sideband_detuning=z * op.kappa_plus)
+        nu = x * op.kappa_m
+        s_opt, s_mw = steady_transfer(op, "microwave", nu)
+        for got, to_port in ((s_opt, "optical"), (s_mw, "microwave")):
+            cf = transfer_from_rates(op, "microwave", to_port, nu)
+            assert abs(got - cf) <= 1e-3 * abs(cf), to_port
 
     def test_stokes_above_threshold_diverges(self):
         op = make_rates_op(Configuration.STOKES, cooperativity=1.2)
