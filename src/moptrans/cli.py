@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from . import quantumstats, response, timedomain
+from . import quantumstats, response
 from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, InstabilityError
 from .hybridize import operating_point
@@ -196,6 +196,8 @@ def cmd_power_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_pulse(cfg: RunConfig, args) -> int:
+    from . import timedomain  # imported here so that only the pulse verb loads it
+
     _require_zero_pump_detuning(cfg, "pulse")
     on_s, rep_hz, tau_s = cfg.require("pulse_on_s", "pulse_rep_hz", "lockin_tau_s")
     try:

@@ -6,7 +6,9 @@ frequencies are ordinary (Hz) in the file and converted to angular units on
 load; unit suffixes (_hz, _dbm, _db, _k, _s, _kg) are part of the key names
 so a file is self-documenting.  Unknown keys are rejected, and so are a
 _dbm or _db value whose linear value overflows and device values from
-which the transduction operating point cannot be built.
+which the transduction operating point cannot be built, at the pump power
+or anywhere on the power sweep, or which give a non-finite cooperativity
+or single-photon cooperativity.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .hybridize import operating_point
@@ -237,13 +239,25 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"invalid pump settings: {exc}") from exc
     pump_detuning = TWO_PI * float(raw.get("pump_detuning_hz", 0.0))
     # the verbs build the supermodes and the transduction operating point
-    # from these values; values they cannot take are config errors here
+    # from these values, at the pump power and at every power of the sweep.
+    # The pump amplitude and the cooperativity grow with the power, so the
+    # largest of them is the one to build; the budget also takes g0^2 /
+    # (kappa_o kappa_m).  Values they cannot take are config errors here.
+    powers = {"pump_power_dbm": pump.power_in}
+    powers.update((k, dbm_to_watts(float(raw[k]))) for k in ("power_start_dbm", "power_stop_dbm") if k in raw)
+    key = max(powers, key=powers.get)  # the first of equal powers
     try:
-        cooperativity = operating_point(device, pump, pump_detuning=pump_detuning).cooperativity
+        op = operating_point(device, replace(pump, power_in=powers[key]), pump_detuning=pump_detuning)
+        cooperativity = op.cooperativity
     except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"invalid device parameters: the operating point cannot be built: {exc}") from exc
+        raise ConfigError(
+            f"invalid device parameters: the operating point cannot be built at {key}: {exc}"
+        ) from exc
     if not math.isfinite(cooperativity):
-        raise ConfigError(f"invalid device parameters: the cooperativity is {cooperativity!r}")
+        raise ConfigError(f"invalid device parameters: the cooperativity at {key} is {cooperativity!r}")
+    c0 = device.g0 * device.g0 / (op.kappa_active * op.kappa_m)
+    if not math.isfinite(c0):
+        raise ConfigError(f"invalid device parameters: the single-photon cooperativity is {c0!r}")
 
     return RunConfig(
         device=device,

@@ -22,6 +22,8 @@ from .response import eta_spectrum_from_rates, transfer_from_rates
 # g2_auto = 2, which is the assumption used for the indicator below.
 G2_AUTO_ASSUMED = 2.0
 
+_TRAPEZOID_BLOCK = 4095  # intervals per block of the pair-rate integral: 4096 grid points
+
 
 @dataclass(frozen=True)
 class ThermalEnvironment:
@@ -102,7 +104,10 @@ class PairRate:
 
 def pair_rate_from_rates(op: OperatingPoint, points_per_linewidth: int = 16, span: float = 50.0) -> PairRate:
     """Closed-form and trapezoid-integrated pair rates for a Stokes
-    operating point; see PairRate for conventions."""
+    operating point; see PairRate for conventions.  The trapezoid runs over
+    np.linspace's grid one block of _TRAPEZOID_BLOCK intervals at a time,
+    so no array spans the grid; only its summation order differs from one
+    np.trapezoid call (the last digits)."""
     if op.configuration is not Configuration.STOKES:
         raise ValueError("pair generation requires the Stokes configuration")
     eta0 = float(eta_spectrum_from_rates(op, 0.0))
@@ -118,9 +123,15 @@ def pair_rate_from_rates(op: OperatingPoint, points_per_linewidth: int = 16, spa
     step = kappa_small / points_per_linewidth
     half_span = span * kappa_big
     n = int(math.ceil(2.0 * half_span / step)) + 1
-    grid = np.linspace(-half_span, half_span, n)
-    eta = eta_spectrum_from_rates(op, grid)
-    numeric = float(np.trapezoid(eta, grid))
+    spacing = 2.0 * half_span / (n - 1)
+    numeric = 0.0
+    for i in range(0, n - 1, _TRAPEZOID_BLOCK):
+        last = min(i + _TRAPEZOID_BLOCK, n - 1)
+        grid = np.arange(i, last + 1) * spacing - half_span
+        if last == n - 1:
+            grid[-1] = half_span  # np.linspace ends on its stop value
+        eta = eta_spectrum_from_rates(op, grid)
+        numeric += float(np.sum(np.diff(grid) * (eta[1:] + eta[:-1]) / 2.0))
 
     return PairRate(
         closed_form=closed,

@@ -10,13 +10,16 @@ empty, and every step is recorded.
 Stepping: the equations are linear, so one classical RK4 step is the
 affine map y_{k+1} = M_k y_k + u_k, whose coefficients come from the
 coupling and drive samples alone.  One stepper builds them in numpy for
-blocks of _BLOCK steps (bounding the temporaries) and carries the state
-across blocks: the decoupled scalar mode (the spectator supermode, or
-the pump ring-up of the pulsed path) runs as a first-order recurrence
+blocks of _BLOCK steps, carries the state across blocks and yields each
+block as it is made: the decoupled scalar mode (the spectator supermode,
+or the pump ring-up of the pulsed path) runs as a first-order recurrence
 with a constant factor (`_recur`), and the coupled pair as an affine scan
 of its 2x2 complex maps (`_scan_pair`): doubling passes inside chunks of
 _PAIR_CHUNK steps, then a serial carry across the chunks.  Both sum in
 another order than a per-step loop, so they match it to rounding only.
+`integrate` collects the blocks into a `Trajectory`; the pulse turns each
+into its stretch of the microwave waveform and the lock-in runs blockwise,
+so a pulse holds only t, the waveform, amplitude and phase: 32 B per step.
 
 Frames are the model's, except that the spectator (mode 0 of A, which is
 decoupled) runs in its own resonance frame, which is also the frame of
@@ -45,7 +48,7 @@ _CHECK_EVERY = 256
 _BLOCK = 16 * _CHECK_EVERY  # steps per block: bounds the temporaries
 _CHUNK = 64  # steps per chunk of `_recur`
 _PAIR_CHUNK = 32  # steps per chunk of `_scan_pair`
-_MAX_PULSE_STEPS = 2 ** 23  # longest pulsed window: about 1.3 GB of trajectory and lock-in arrays
+_MAX_PULSE_STEPS = 2 ** 23  # longest pulsed window: about 270 MB of time, waveform and lock-in arrays
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,6 @@ def _recur(m, u, x=0.0):
     zero state, and a carry over the chunks adds m^(k+1) times the state
     entering each one (the affine scan of Blelloch, CMU-CS-90-190, 1990,
     with a serial pass over the chunks)."""
-    u = np.asarray(u)
     n = u.size
     p = m ** np.arange(_CHUNK + 1)
     # upper[j, i] = m^(i - j) for i >= j, else 0
@@ -193,17 +195,16 @@ def _stepper(t0, dt, n, lam, pair, inputs):
     stage at t_k + h uses the sample at t_{k+1}.  e = None makes the
     coupling follow x's own RK4 stage values (a pump ring-up).
     |x| + |y_0| + |y_1| is tested for divergence every _CHECK_EVERY steps,
-    at the end of each block.  Returns (t, x, y_0, y_1) at every step, the
-    zero initial state included."""
+    at the end of each block.  Yields (t, x, y_0, y_1) arrays: the zero
+    state at t0, then each block's states after its steps."""
     d0, d1, c0, c1 = pair
     x = y0 = y1 = 0.0j
     half = 0.5 * dt
     m = _rk4_affine([[[lam]]] * 4, [[0.0]] * 4, [1.0], dt)[0]
-    t_all = t0 + np.arange(n + 1) * dt
-    rec = [np.zeros(n + 1, dtype=complex) for _ in range(3)]
+    yield np.array([t0 + 0.0 * dt]), *np.zeros((3, 1), dtype=complex)
     for k0 in range(0, n, _BLOCK):
         nb = min(_BLOCK, n - k0)
-        t = t_all[k0:k0 + nb + 1]
+        t = t0 + np.arange(k0, k0 + nb + 1) * dt
         ts = np.concatenate([t, t[:-1] + half])
 
         def stages(v):
@@ -233,10 +234,8 @@ def _stepper(t0, dt, n, lam, pair, inputs):
                 f"trajectory diverged at t={t0 + (i + 1) * dt!r} (|state| ~ {float(mag[bad[0]])!r}); "
                 "operating point is above the parametric threshold"
             )
-        for r, v in zip(rec, block):
-            r[k0 + 1:k0 + nb + 1] = v
+        yield t[1:], *block
         x, y0, y1 = (v[-1] for v in block)
-    return t_all, *rec
 
 
 def integrate(
@@ -298,7 +297,12 @@ def integrate(
         return b[0][0] * a_in, 1.0, b[1][0] * a_in * np.exp(1j * spectator.imag * ts), b[2][1] * c_in
 
     pair = (a[1][1], a[2][2], a[1][2], a[2][1])  # (d0, d1, c0, c1)
-    t, *states = _stepper(t0, dt, n_steps, spectator.real, pair, inputs)
+    t, *states = np.empty(n_steps + 1), *(np.empty(n_steps + 1, dtype=complex) for _ in range(3))
+    k = 0
+    for block in _stepper(t0, dt, n_steps, spectator.real, pair, inputs):
+        for r, v in zip((t, *states), block):
+            r[k:k + v.size] = v
+        k += block[0].size
     return Trajectory(t=t, **{name.removesuffix("_dag"): v if sign > 0 else v.conj()
                               for name, sign, v in zip(model.modes, model.sigma, states)})
 
@@ -312,7 +316,10 @@ def lockin_demodulate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature demodulation of a real signal: mix with 2 cos / -2 sin at
     omega_ref, low-pass each quadrature with a single-pole integrator of
-    time constant tau_rc, and return (amplitude, phase) series."""
+    time constant tau_rc, and return (amplitude, phase) series.  It runs
+    blockwise with the filter state carried over, bit-identical to one pass:
+    the blocks hold whole _CHUNKs, and a tail of at most _CHUNK samples joins
+    the block before (numpy's one-row product rounds otherwise)."""
     t = np.asarray(t, dtype=float)
     signal = np.asarray(signal, dtype=float)
     if t.ndim != 1 or t.size < 2 or t.shape != signal.shape:
@@ -324,12 +331,16 @@ def lockin_demodulate(
             f"undersampled input: need >= 20 samples per reference period, "
             f"got {1.0 / (dt * f_ref)!r}"
         )
-    phase_ref = config.omega_ref * t
-    i_mix = signal * 2.0 * np.cos(phase_ref)
-    q_mix = signal * (-2.0) * np.sin(phase_ref)
     alpha = 1.0 - math.exp(-dt / config.tau_rc)
-    filtered = _recur(1.0 - alpha, alpha * (i_mix + 1j * q_mix))  # I + iQ
-    return np.abs(filtered), np.angle(filtered)
+    amp, phase, x = np.empty(t.size), np.empty(t.size), 0.0
+    edges = [*range(0, max(t.size - _CHUNK, 1), _BLOCK), t.size]
+    for s in map(slice, edges[:-1], edges[1:]):
+        phase_ref = config.omega_ref * t[s]
+        i_mix = signal[s] * 2.0 * np.cos(phase_ref)
+        q_mix = signal[s] * (-2.0) * np.sin(phase_ref)
+        filtered = _recur(1.0 - alpha, alpha * (i_mix + 1j * q_mix), x)  # I + iQ
+        amp[s], phase[s], x = np.abs(filtered), np.angle(filtered), filtered[-1].item()
+    return amp, phase
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +383,6 @@ def pulsed_downconversion(
 
     # x: the pumped spectator's amplitude over its steady state, its RK4
     # stages scaling the pair's couplings (A holds them at full pump).
-    # Keeping only t and the acoustic mode frees the rest early.
     model = linear_model(op)
     a, b = model.a, model.b
     lam = a[0][0].real
@@ -382,8 +392,11 @@ def pulsed_downconversion(
         return -lam * pulse.envelope(ts, t_start), None, b[1][0] * s_opt, 0.0
 
     pair = (a[1][1], a[2][2], a[1][2], a[2][1])
-    t, b_dag = _stepper(0.0, dt, n, lam, pair, inputs)[::3]
-    c_out_env = (model.c[1][2] * b_dag).conj()  # c_out_dag; no microwave input
-    waveform = np.real(c_out_env * np.exp(-1j * op.omega_m * t))
+    t, waveform = np.arange(n + 1) * dt, np.empty(n + 1)  # the stepper's times, from t0 = 0.0
+    k = 0
+    for tb, _, _, b_dag in _stepper(0.0, dt, n, lam, pair, inputs):
+        c_out_env = (model.c[1][2] * b_dag).conj()  # c_out_dag; no microwave input
+        waveform[k:k + tb.size] = np.real(c_out_env * np.exp(-1j * op.omega_m * tb))
+        k += tb.size
     amp, phase = lockin_demodulate(t, waveform, lockin)
     return t, amp, phase

@@ -303,6 +303,37 @@ class TestConfigParsing:
         assert err.startswith("config error: invalid device parameters") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", [["spectrum"], ["power-sweep"], ["budget"], ["pulse"], ["fit", "power"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("g0_line", ["g0_hz = 1e300", "g0_hz = 1e150"])
+    def test_power_sweep_cooperativity_overflow_is_config_error(self, tmp_path, capsys, verb, g0_line):
+        """With the pump off the configured operating point is fine, but the
+        cooperativity overflows on the power sweep (1e300 at its first
+        power, 1e150 only towards its end): `power-sweep` used to end in a
+        raw OverflowError traceback there."""
+        text = self.with_line(g0_line).replace("pump_power_dbm = 21.0", "pump_power_dbm = -inf")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        data = ["--data", str(write_fit_data(tmp_path, "power"))] if verb[0] == "fit" else []
+        assert main([*verb, "--config", str(cfg), "--out", str(out), *data]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid device parameters: the operating point cannot be built at "
+                              "power_stop_dbm: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_budget_single_photon_cooperativity_overflow_is_config_error(self, tmp_path, capsys):
+        """g0^2 overflows while the pump is off and no power sweep is
+        configured: `budget` used to end in a raw OverflowError traceback
+        from the single-photon cooperativity."""
+        lines = self.with_line("g0_hz = 1e300").replace("pump_power_dbm = 21.0", "pump_power_dbm = -inf")
+        cfg = write_config(tmp_path, "\n".join(l for l in lines.splitlines() if not l.startswith("power_")))
+        out = tmp_path / "budget.json"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: invalid device parameters: the single-photon cooperativity is inf\n"
+        assert not out.exists()
+
     def test_inf_splitting_spectrum_exits_1(self, tmp_path, capsys):
         """coupling_j_hz = inf used to end in a raw ValueError traceback."""
         cfg = write_config(tmp_path, PAPER_CONFIG.replace("coupling_j_hz = 1.74e9", "coupling_j_hz = inf"))
@@ -1019,6 +1050,11 @@ class TestEntryPoint:
 
     def test_cli_import_leaves_calibrate_to_the_fit_verb(self):
         res = run_python("-c", "import sys, moptrans.cli; print('moptrans.calibrate' in sys.modules)")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split()[-1] == "False"
+
+    def test_cli_import_leaves_timedomain_to_the_pulse_verb(self):
+        res = run_python("-c", "import sys, moptrans.cli; print('moptrans.timedomain' in sys.modules)")
         assert res.returncode == 0, res.stderr
         assert res.stdout.split()[-1] == "False"
 

@@ -2,16 +2,20 @@ import cmath
 import dataclasses
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moptrans import timedomain
 from moptrans.calibrate import fit_rc_step
+from moptrans.config import load_config
 from moptrans.errors import InstabilityError
-from moptrans.hybridize import OperatingPoint, operating_point
-from moptrans.model import TWO_PI, Configuration, DeviceParams, PumpConfig
+from moptrans.hybridize import OperatingPoint, linear_model, operating_point
+from moptrans.model import TWO_PI, Configuration, DeviceParams, PumpConfig, dbm_to_watts, photon_flux
 from moptrans.response import transfer_from_rates
 from moptrans.timedomain import (
     LockInConfig,
@@ -233,6 +237,49 @@ def _pulsed_ref(
     waveform = np.real(c_out_env * np.exp(-1j * op.omega_m * t))
     amp, phase = lockin_demodulate(t, waveform, lockin)
     return t, amp, phase
+
+
+def _lockin_ref(t, signal, config):
+    """The one-pass lock-in that the blockwise `lockin_demodulate` replaced:
+    the whole signal mixed, filtered by one `_recur` call, then abs and
+    angle."""
+    t = np.asarray(t, dtype=float)
+    signal = np.asarray(signal, dtype=float)
+    if t.ndim != 1 or t.size < 2 or t.shape != signal.shape:
+        raise ValueError("need matching 1-D time and signal arrays")
+    dt = float(t[1] - t[0])
+    f_ref = config.omega_ref / TWO_PI
+    if 1.0 / dt < 20.0 * f_ref:
+        raise ValueError(
+            f"undersampled input: need >= 20 samples per reference period, "
+            f"got {1.0 / (dt * f_ref)!r}"
+        )
+    phase_ref = config.omega_ref * t
+    i_mix = signal * 2.0 * np.cos(phase_ref)
+    q_mix = signal * (-2.0) * np.sin(phase_ref)
+    alpha = 1.0 - math.exp(-dt / config.tau_rc)
+    filtered = _recur(1.0 - alpha, alpha * (i_mix + 1j * q_mix))  # I + iQ
+    return np.abs(filtered), np.angle(filtered)
+
+
+def _pulsed_whole_array(monkeypatch, *args):
+    """`pulsed_downconversion(*args)` and the whole-array composition of
+    the same stepper blocks: the acoustic mode collected over the window,
+    the waveform synthesized from it in one pass, then `_lockin_ref`."""
+    blocks, stepper = [], timedomain._stepper
+
+    def recording_stepper(*stepper_args):
+        for block in stepper(*stepper_args):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(timedomain, "_stepper", recording_stepper)
+    streamed = pulsed_downconversion(*args)
+    params, _, _, lockin, pump_power, _ = args
+    op = operating_point(params, PumpConfig(Configuration.STOKES, pump_power))
+    t, b_dag = (np.concatenate(v) for v in list(zip(*blocks))[::3])
+    waveform = np.real((linear_model(op).c[1][2] * b_dag).conj() * np.exp(-1j * op.omega_m * t))
+    return streamed, (t, *_lockin_ref(t, waveform, lockin))
 
 
 def _pair_loop_ref(rows, y0, y1, n):
@@ -525,6 +572,27 @@ class TestStepperMatchesReference:
         lit = amp_ref > 1e-3 * peak
         assert np.max(np.abs(np.angle(np.exp(1j * (phase[lit] - phase_ref[lit]))))) <= 1e-9
 
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("edged", SHAPES)
+    def test_pulsed_streams_bit_identically(self, monkeypatch, fast, edged):
+        """The pulse consumes the stepper's blocks as they come and the
+        lock-in runs blockwise; (t, amp, phase) equal the whole-array
+        composition bit for bit.  The stepper's last block has 45 steps,
+        and the lock-in's 46-sample tail joins its eleventh block."""
+        from moptrans.model import AcousticMode, OpticalModeBare
+
+        dev, power = make_paper_device(), 0.126
+        if fast:  # the criterion-11 device
+            fast_mode = AcousticMode(TWO_PI * 3.48e9, TWO_PI * 300e6, TWO_PI * 33e6)
+            wide = OpticalModeBare(dev.left.omega, TWO_PI * 740e6, TWO_PI * 60e6)
+            dev, power = DeviceParams(wide, wide, dev.coupling_j, (fast_mode,), dev.g0, dev.losses), 0.05
+        pulse = PulseSequence(0.25e-6, 100e3, edge_time=60e-9 if edged else 0.0)
+        lockin = LockInConfig(TWO_PI * 3.48e9, 30e-9)
+        streamed, whole = _pulsed_whole_array(monkeypatch, dev, pulse, 1e12, lockin, power, 0.45e-6)
+        assert streamed[0].size == 45102
+        for got, ref in zip(streamed, whole):
+            assert np.array_equal(got, ref)
+
     def test_instability_parity(self):
         """Above the Stokes threshold both raise at the same t; the stepper
         stops within one block of it (the window runs on well past it)."""
@@ -588,6 +656,27 @@ class TestLockIn:
         window = t > (t[-1] - 5 * beat)
         suppression_db = -20.0 * math.log10(np.mean(amp[window]))
         assert suppression_db >= 20.0
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, _CHUNK, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + _CHUNK + 1, 3 * _BLOCK + 17]
+    )
+    def test_blockwise_matches_one_pass(self, n):
+        """Runs that end inside, on and just past a block boundary equal the
+        one-pass reference bit for bit, a tail of one chunk row (17 samples)
+        or two (65) included; one sample is refused by both."""
+        f_ref = 3.48e9
+        config = LockInConfig(TWO_PI * f_ref, 30e-9)
+        t = np.arange(n) / (24.0 * f_ref)
+        rng = np.random.default_rng(n)
+        signal = np.cos(TWO_PI * f_ref * t + 0.3) * (1.0 + 0.2 * rng.normal(size=n))
+        if n < 2:
+            for fn in (lockin_demodulate, _lockin_ref):
+                with pytest.raises(ValueError, match="need matching 1-D time and signal arrays"):
+                    fn(t, signal, config)
+            return
+        for got, ref in zip(lockin_demodulate(t, signal, config), _lockin_ref(t, signal, config)):
+            assert got.shape == (n,)
+            assert np.array_equal(got, ref)
 
     def test_undersampled_rejected(self):
         config = LockInConfig(TWO_PI * 200e6, 100e-9)
@@ -735,6 +824,26 @@ class TestPulsed:
         with pytest.raises(ValueError, match=rf"needs \d+ integrator steps, more than {_MAX_PULSE_STEPS}$"):
             pulsed_downconversion(dev, PulseSequence(1e-6, 100e3), optical_input_flux=1e12,
                                   lockin=lockin, pump_power=0.05, duration=duration)
+
+    def test_paper_config_peak_memory(self):
+        """The paper config's pulse (116,093 steps) holds t, the waveform,
+        amplitude and phase at 32 B per step plus one block's temporaries:
+        its tracemalloc peak stays under 8 MB (the stepper's full
+        trajectory and a one-pass lock-in took 15.2 MB)."""
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "paper_device.toml")
+        dev, raw = cfg.device, cfg.raw
+        pulse = PulseSequence(raw["pulse_on_s"], raw["pulse_rep_hz"])
+        lockin = LockInConfig(dev.transduction_mode.omega_m, raw["lockin_tau_s"])
+        watts = dev.losses.eta_fiber_chip * dbm_to_watts(raw["input_power_dbm"])
+        flux = photon_flux(watts, cfg.pump.omega_l_effective)
+        tracemalloc.start()
+        try:
+            t, _, _ = pulsed_downconversion(dev, pulse, flux, lockin, cfg.pump.power_in)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.size == 116_094
+        assert peak < 8e6
 
     def test_zero_optical_input(self):
         dev = make_paper_device()
