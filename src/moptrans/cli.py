@@ -53,6 +53,11 @@ if TYPE_CHECKING:
 
 _MAX_GRID_POINTS = 10 ** 6  # spectrum rows: about 115 MB of CSV
 _MAX_POWER_POINTS = 10 ** 5  # power-sweep rows: one efficiency ledger each
+# power-sweep columns after power_dbm: (CSV header, EfficiencyBudget field)
+_POWER_SWEEP_COLUMNS = (
+    ("eta_tot", "eta_tot"), ("eta_oc", "eta_oc"), ("eta_int", "eta_int"),
+    ("C", "cooperativity"), ("n_bar", "n_bar"),
+)
 
 
 def _metadata_lines(cfg: RunConfig | None, command: str, seed: int | None) -> list[str]:
@@ -138,6 +143,11 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     device, pump = cfg.device, cfg.pump
     ref = device.transduction_mode
     offsets = TWO_PI * (freq_hz - ref.omega_m / TWO_PI)
+    if not np.all(offsets[1:] > offsets[:-1]):
+        raise ConfigError(
+            f"sweep grid from {freq_hz[0]:.6g} to {freq_hz[-1]:.6g} Hz is finer than float64 resolves "
+            f"about the {ref.omega_m / TWO_PI:.6g} Hz mode: its offsets from the mode are not ascending"
+        )
 
     spec = response.multimode_spectrum(device, pump, cfg.pump_detuning, offsets)
     eta = spec.channel("eta_onchip")
@@ -184,14 +194,9 @@ def cmd_power_sweep(cfg: RunConfig, args) -> int:
     for p in dbm:
         pump = PumpConfig(cfg.pump.configuration, dbm_to_watts(float(p)), cfg.pump.omega_l)
         budget = response.offchip_efficiency(cfg.device, pump)
-        rows.append(
-            (p, budget.eta_tot, budget.eta_oc, budget.eta_int, budget.cooperativity, budget.n_bar)
-        )
-    _write_csv(
-        args.out, cfg, "power-sweep", args.seed,
-        ["power_dbm", "eta_tot", "eta_oc", "eta_int", "C", "n_bar"],
-        np.array(rows).T,
-    )
+        rows.append([p] + [getattr(budget, field) for _, field in _POWER_SWEEP_COLUMNS])
+    header = ["power_dbm"] + [name for name, _ in _POWER_SWEEP_COLUMNS]
+    _write_csv(args.out, cfg, "power-sweep", args.seed, header, np.array(rows).T)
     return 0
 
 

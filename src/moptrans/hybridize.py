@@ -23,6 +23,7 @@ the right-ring component is made real positive instead.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -336,7 +337,8 @@ class LinearModel:
 
 def linear_model(op: OperatingPoint) -> LinearModel:
     """The linearized, sideband-resolved transducer at `op`; the flow
-    graphs of `sfg` and the RK4 engine of `timedomain` are built from it.
+    graphs of `sfg`, the RK4 engine of `timedomain` and the band integrals
+    of `band_integral` (the pair rate of `quantumstats`) are built from it.
 
     Modes, in the order spectator, active, acoustic: (a_-, a_+, b) under
     anti-Stokes pumping (pump on a_-), (a_+, a_-, b_dag) under Stokes
@@ -394,6 +396,36 @@ def linear_model(op: OperatingPoint) -> LinearModel:
     )
 
 
+def band_integral(model: LinearModel, inp: str, out: str) -> float:
+    """The integral over all omega of |S_oi(omega)|^2 from input port `inp`
+    to output port `out` of `model` (names from its inputs and outputs).
+
+    By Parseval it is 2 pi C_o W C_o^dag, where the controllability Gramian
+    W solves A W + W A^dag + B_i B_i^dag = 0 (Zhou, Doyle & Glover, Robust
+    and Optimal Control, 1996, ch. 4): one linear solve, with no grid and
+    whatever the linewidths.  A must be stable, as it is below the Stokes
+    threshold.  A port pair with D_oi != 0 has an infinite integral and
+    raises ValueError.
+    """
+    import numpy as np
+
+    i, o = model.inputs.index(inp), model.outputs.index(out)
+    if model.d[o][i] != 0.0:
+        raise ValueError(f"{inp} -> {out} passes straight through (D = {model.d[o][i]!r}): "
+                         "its band integral is infinite")
+    a = np.array(model.a)
+    n = len(a)
+    eye = np.eye(n)
+    # A W + W A^dag on the row-major entries of W: the Kronecker sum
+    # A (x) I + I (x) conj(A), built by broadcasting
+    kron_sum = (a[:, None, :, None] * eye[None, :, None, :]
+                + eye[:, None, :, None] * a.conj()[None, :, None, :]).reshape(n * n, n * n)
+    b_i = np.array(model.b)[:, i]
+    w = np.linalg.solve(kron_sum, -(b_i[:, None] * b_i).ravel()).reshape(n, n)  # B is real
+    c_o = np.array(model.c[o])
+    return 2.0 * math.pi * float((c_o @ w @ c_o).real)  # C is real
+
+
 def operating_point(
     params: DeviceParams,
     pump: PumpConfig,
@@ -406,11 +438,26 @@ def operating_point(
     Uses the transduction acoustic mode unless another is supplied.  The
     sideband detuning is pump_detuning + (omega_m - omega_m,t) for
     anti-Stokes pumping and pump_detuning - (omega_m - omega_m,t) for
-    Stokes, with omega_m,t the transduction mode's frequency.
+    Stokes, with omega_m,t the transduction mode's frequency.  The last
+    few distinct points are memoized, so the verbs and a design study that
+    ask for one point several times build it once.
     """
+    mode = acoustic_mode if acoustic_mode is not None else params.transduction_mode
+    return _operating_point(params, pump, mode, pump_detuning)
+
+
+# points that share a device, such as those of a power sweep, share its supermodes
+_supermodes = functools.lru_cache(maxsize=8)(supermodes)
+
+
+@functools.lru_cache(maxsize=8)
+def _operating_point(
+    params: DeviceParams, pump: PumpConfig, mode, pump_detuning: float
+) -> OperatingPoint:
+    """`operating_point` with its acoustic mode resolved; its arguments are
+    frozen dataclasses and floats, so they key the memo."""
     ref = params.transduction_mode
-    mode = acoustic_mode if acoustic_mode is not None else ref
-    sm = supermodes(params.left, params.right, params.coupling_j)
+    sm = _supermodes(params.left, params.right, params.coupling_j)
     a_minus, a_plus = steady_state_amplitudes(
         sm, pump, params.losses.eta_fiber_chip, pump_detuning
     )

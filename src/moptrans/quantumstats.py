@@ -2,7 +2,10 @@
 
 Operator-valued noise expressions are evaluated as stationary mean
 occupancies: linear cross terms vanish for thermal/vacuum inputs and the
-quadratic terms are weighted by ratios of |S|^2 coefficients.
+quadratic terms are weighted by ratios of |S|^2 coefficients.  The pair
+rate integrates |S_ac|^2 over all frequencies from the Gramian of the
+linear model (`hybridize.band_integral`), with no grid; its residue closed
+form is exact at zero sideband detuning.
 """
 
 from __future__ import annotations
@@ -10,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InstabilityError
-from .hybridize import OperatingPoint, operating_point
+from .hybridize import OperatingPoint, band_integral, linear_model, operating_point
 from .model import HBAR, K_B, TWO_PI, Configuration, DeviceParams, PumpConfig
 from .response import eta_spectrum_from_rates, transfer_from_rates
 
@@ -21,8 +22,6 @@ from .response import eta_spectrum_from_rates, transfer_from_rates
 # auto-correlations; thermal marginals of two-mode squeezed vacuum have
 # g2_auto = 2, which is the assumption used for the indicator below.
 G2_AUTO_ASSUMED = 2.0
-
-_TRAPEZOID_BLOCK = 4095  # intervals per block of the pair-rate integral: 4096 grid points
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,15 @@ def decoherence_rate(kappa_m: float, n_th: float) -> float:
 class PairRate:
     """On-chip spontaneous pair generation rate estimates [pairs/s].
 
-    closed_form and numeric integrate eta_-[omega] over the angular
-    frequency axis, i.e. R = integral eta_-[w] dw with w in rad/s;
-    alternate_convention divides the numeric value by 2 pi (integration
-    against ordinary frequency).  Neither convention reproduces the value
-    quoted in the source literature from its own stated inputs; `note`
-    records this.
+    Both integrate eta_-[omega] over the angular frequency axis, i.e. R =
+    integral eta_-[w] dw with w in rad/s.  numeric is that integral over
+    all w from the Gramian of `hybridize.linear_model` (see
+    `hybridize.band_integral`), at any detuning; closed_form is the residue
+    pi eta_-[0] a b (1 - C) / (a + b), a = kappa_o/2, b = kappa_m/2, exact
+    at zero sideband detuning.  alternate_convention divides numeric by
+    2 pi (integration against ordinary frequency).  Neither convention
+    reproduces the value quoted in the source literature from its own
+    stated inputs; `note` records this.
     """
 
     closed_form: float
@@ -102,47 +104,24 @@ class PairRate:
     )
 
 
-def pair_rate_from_rates(op: OperatingPoint, points_per_linewidth: int = 16, span: float = 50.0) -> PairRate:
-    """Closed-form and trapezoid-integrated pair rates for a Stokes
-    operating point; see PairRate for conventions.  The trapezoid runs over
-    np.linspace's grid one block of _TRAPEZOID_BLOCK intervals at a time,
-    so no array spans the grid; only its summation order differs from one
-    np.trapezoid call (the last digits)."""
+def pair_rate_from_rates(op: OperatingPoint) -> PairRate:
+    """Closed-form and Gramian pair rates for a Stokes operating point; see
+    PairRate for conventions."""
     if op.configuration is not Configuration.STOKES:
         raise ValueError("pair generation requires the Stokes configuration")
-    eta0 = float(eta_spectrum_from_rates(op, 0.0))
-    closed = (
-        0.5
-        * math.pi
-        * eta0
-        / (1.0 / op.kappa_active + 1.0 / op.kappa_m)
-    )
-
-    kappa_small = min(op.kappa_active, op.kappa_m)
-    kappa_big = max(op.kappa_active, op.kappa_m)
-    step = kappa_small / points_per_linewidth
-    half_span = span * kappa_big
-    n = int(math.ceil(2.0 * half_span / step)) + 1
-    spacing = 2.0 * half_span / (n - 1)
-    numeric = 0.0
-    for i in range(0, n - 1, _TRAPEZOID_BLOCK):
-        last = min(i + _TRAPEZOID_BLOCK, n - 1)
-        grid = np.arange(i, last + 1) * spacing - half_span
-        if last == n - 1:
-            grid[-1] = half_span  # np.linspace ends on its stop value
-        eta = eta_spectrum_from_rates(op, grid)
-        numeric += float(np.sum(np.diff(grid) * (eta[1:] + eta[:-1]) / 2.0))
-
+    eta0 = float(eta_spectrum_from_rates(op, 0.0))  # also refuses C >= 1
+    a, b = 0.5 * op.kappa_active, 0.5 * op.kappa_m
+    numeric = band_integral(linear_model(op), "c_in_dag", "a_out")
     return PairRate(
-        closed_form=closed,
+        closed_form=math.pi * eta0 * a * b * (1.0 - op.cooperativity) / (a + b),
         numeric=numeric,
         alternate_convention=numeric / TWO_PI,
     )
 
 
-def pair_rate(params: DeviceParams, pump: PumpConfig, **kwargs) -> PairRate:
+def pair_rate(params: DeviceParams, pump: PumpConfig) -> PairRate:
     """Pair-rate estimate for a device under Stokes pumping."""
-    return pair_rate_from_rates(operating_point(params, pump), **kwargs)
+    return pair_rate_from_rates(operating_point(params, pump))
 
 
 # ---------------------------------------------------------------------------

@@ -26,28 +26,27 @@ at w + d, while chi_m stays at w.  It is zero for the transduction mode
 under a resonant pump.
 
 The on-chip photon-number conversion efficiency is |S_ac|^2 = |S_ca|^2 for
-either configuration.  With chi_o^-1 = a - i(w + d) and chi_m^-1 = b - i w
-for the active supermode, S_ac = -i sqrt(kex_o kex_m) g /
-(chi_o^-1 chi_m^-1 +- |g|^2), whose squared modulus is real:
+either configuration.  With a = kappa_o/2, b = kappa_m/2, chi_o^-1 =
+a - i(w + d) and chi_m^-1 = b - i w for the active supermode, S_ac =
+-i sqrt(kex_o kex_m) g / (chi_o^-1 chi_m^-1 +- |g|^2) (+ anti-Stokes,
+- Stokes).  That denominator is -(w - r_1)(w - r_2), where r_1 and r_2,
+the two normal modes of the coupled pair, are the roots of
+w^2 + (d + i(a + b)) w - (c - i b d) with c = a b +- |g|^2.  So
 
-    |S_ac|^2 = K / ((c - x y)^2 + (a y + b x)^2)
+    |S_ac|^2 = K / ([(w - Re r_1)^2 + (Im r_1)^2] [(w - Re r_2)^2 + (Im r_2)^2])
 
-    a = kappa_o/2,  b = kappa_m/2,  c = a b +- |g|^2,  K = kex_o kex_m |g|^2,
-    y = w,  x = w + d,
-
-with + for anti-Stokes and - for Stokes (c = a b (1 - C) > 0 below the
-Stokes threshold, so the denominator never vanishes).  Efficiency spectra
-are computed from this real form; `transfer_from_rates` gives the complex
-S parameters.
-
-Efficiency spectra are evaluated in blocks of _BLOCK grid points into one
-preallocated result, so each temporary holds 4096 float64 values (32 KB)
-whatever the grid length.  Every operation is elementwise, so the result
-does not depend on the block size.
+with K = kex_o kex_m |g|^2.  Each factor is a sum of squares, so nothing
+cancels, and below the Stokes threshold (c = a b (1 - C) > 0) neither mode
+is undamped, so the product never vanishes.  Efficiency spectra come from
+this form, in blocks of _BLOCK grid points into one preallocated result:
+each temporary holds 32 KB whatever the grid length, and every operation
+is elementwise, so the result does not depend on the block size.
+`transfer_from_rates` gives the complex S parameters.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -165,42 +164,57 @@ def transfer_from_rates(op: OperatingPoint, from_port: str, to_port: str, omega)
         out = -1.0 + op.kappa_ex_m * chi_m / det
     else:  # optical -> optical
         if op.configuration is Configuration.ANTI_STOKES:
-            spectator = op.kappa_ex_minus * _chi(
-                omega + op.sideband_detuning + op.splitting, op.kappa_minus
-            )
+            spectator = op.kappa_ex_minus * _chi(omega + op.sideband_detuning + op.splitting, op.kappa_minus)
         else:
-            spectator = op.kappa_ex_plus * _chi(
-                omega + op.sideband_detuning - op.splitting, op.kappa_plus
-            )
+            spectator = op.kappa_ex_plus * _chi(omega + op.sideband_detuning - op.splitting, op.kappa_plus)
         out = 1.0 - op.kappa_ex_active * chi_o / det - spectator
     return out if out.ndim else complex(out)
 
 
+def _poles(a, b, c, d):
+    """r_1 and r_2 of the module docstring: the larger root from the
+    quadratic formula in units of s, so that no square overflows, then r_2
+    from the product of the roots."""
+    s = max(abs(d), a + b, math.sqrt(abs(c)))
+    half_sum = complex(d / s, (a + b) / s) / 2.0
+    product = complex(-c / s / s, b / s * (d / s))
+    root = cmath.sqrt(half_sum * half_sum - product)
+    r1 = -(half_sum + root) if (half_sum.conjugate() * root).real >= 0.0 else -(half_sum - root)
+    return s * r1, s * (product / r1)
+
+
 def _summed_eta(terms, omega):
-    """Sum over `(op, shift)` terms of |S_cross|^2 at offsets `omega - shift`,
-    from the real closed form of the module docstring, evaluated in blocks of
-    _BLOCK points into one preallocated result."""
+    """Sum over one or more `(op, shift)` terms of |S_cross|^2 at offsets
+    `omega - shift`, from the pole product of the module docstring with the
+    shift folded into Re r; the first term writes the result."""
     coefficients = []
     for op, shift in terms:
         check_stokes_threshold(op.configuration, op.cooperativity)
         a, b = 0.5 * op.kappa_active, 0.5 * op.kappa_m
         g2 = abs(op.g_active) ** 2
         c = a * b + g2 if op.configuration is Configuration.ANTI_STOKES else a * b - g2
+        r1, r2 = _poles(a, b, c, op.sideband_detuning)
         k = op.kappa_ex_active * op.kappa_ex_m * g2
-        coefficients.append((a, b, c, k, shift, op.sideband_detuning))
+        coefficients.append((k, shift + r1.real, r1.imag ** 2, shift + r2.real, r2.imag ** 2))
 
     omega = np.asarray(omega, dtype=float)
     flat = omega.ravel()
-    eta = np.zeros(flat.size)
-    # far off resonance (|w| above about 1e154 rad/s) the denominator
-    # overflows to inf, and k / inf = 0 is the efficiency's limit there
+    eta = np.empty(flat.size)
+    # far off resonance (|w| above about 1e154 rad/s) the product overflows
+    # to inf, and k / inf = 0 is the efficiency's limit there
     with np.errstate(over="ignore"):
         for i in range(0, flat.size, _BLOCK):
-            block = flat[i:i + _BLOCK]
-            for a, b, c, k, shift, d in coefficients:
-                y = block - shift
-                x = y + d
-                eta[i:i + _BLOCK] += k / ((c - x * y) ** 2 + (a * y + b * x) ** 2)
+            block, out = flat[i:i + _BLOCK], eta[i:i + _BLOCK]
+            for j, (k, p1, q1, p2, q2) in enumerate(coefficients):
+                u, v = block - p1, block - p2
+                u *= u
+                v *= v
+                u += q1
+                v += q2
+                u *= v
+                np.divide(k, u, out=u if j else out)
+                if j:
+                    out += u
     return eta.reshape(omega.shape)
 
 
@@ -215,9 +229,8 @@ def onchip_efficiency_spectrum(
 ) -> Spectrum:
     """On-chip conversion efficiency over `omega_grid` (offsets from the
     triple-resonance point, rad/s)."""
-    op = operating_point(params, pump)
-    eta = eta_spectrum_from_rates(op, np.asarray(omega_grid, dtype=float))
-    return Spectrum(np.asarray(omega_grid, dtype=float), eta, ("eta_onchip",))
+    grid = np.asarray(omega_grid, dtype=float)
+    return Spectrum(grid, eta_spectrum_from_rates(operating_point(params, pump), grid), ("eta_onchip",))
 
 
 def offchip_efficiency(params: DeviceParams, pump: PumpConfig) -> EfficiencyBudget:
@@ -240,16 +253,8 @@ def offchip_efficiency(params: DeviceParams, pump: PumpConfig) -> EfficiencyBudg
     # cooperativity C0 = g0^2/(kappa_o kappa_m) of the hybridized device
     omega_l = pump.omega_l_effective
     c0 = params.g0 ** 2 / (op.kappa_active * op.kappa_m)
-    eta_tot_lin = (
-        16.0
-        * losses.eta_probes
-        * losses.eta_fiber_fiber
-        * eta_m
-        * eta_o ** 2
-        * c0
-        * pump.power_in
-        / (HBAR * omega_l * op.kappa_active)
-    )
+    eta_tot_lin = (16.0 * losses.eta_probes * losses.eta_fiber_fiber * eta_m * eta_o ** 2 * c0
+                   * pump.power_in / (HBAR * omega_l * op.kappa_active))
 
     stages = {
         "eta_probes": losses.eta_probes,
@@ -260,16 +265,8 @@ def offchip_efficiency(params: DeviceParams, pump: PumpConfig) -> EfficiencyBudg
         "n_bar": op.n_pump,
         "sideband_resolution": op.sideband_resolution,
     }
-    return EfficiencyBudget(
-        eta_int=eta_int_val,
-        eta_ext=eta_ext_val,
-        eta_oc=eta_oc,
-        eta_tot=eta_tot,
-        eta_tot_linearized=eta_tot_lin,
-        cooperativity=c,
-        n_bar=op.n_pump,
-        stages=stages,
-    )
+    return EfficiencyBudget(eta_int=eta_int_val, eta_ext=eta_ext_val, eta_oc=eta_oc, eta_tot=eta_tot,
+                            eta_tot_linearized=eta_tot_lin, cooperativity=c, n_bar=op.n_pump, stages=stages)
 
 
 # ---------------------------------------------------------------------------

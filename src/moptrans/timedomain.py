@@ -369,17 +369,17 @@ def pulsed_downconversion(
 
     Returns (t, amplitude, phase).
     """
-    pump = PumpConfig(Configuration.STOKES, pump_power)
-    op = operating_point(params, pump)
+    op = operating_point(params, PumpConfig(Configuration.STOKES, pump_power))
     check_stokes_threshold(op.configuration, op.cooperativity)
 
-    f_carrier = op.omega_m / TWO_PI
-    dt = 1.0 / (24 * f_carrier)
+    dt = 1.0 / (24 * (op.omega_m / TWO_PI))  # 24 steps per acoustic carrier cycle
     t_start = 3.0 * lockin.tau_rc
     t_end = t_start + (duration if duration is not None else min(pulse.tau_on, 1.0e-6) + 10.0 * lockin.tau_rc)
-    n = int(math.ceil(t_end / dt))
-    if n > _MAX_PULSE_STEPS:
-        raise ValueError(f"the pulsed window needs {n} integrator steps, more than {_MAX_PULSE_STEPS}")
+    steps = t_end / dt  # compared as a float: an infinite or NaN window has no int
+    if not steps <= _MAX_PULSE_STEPS:
+        needed = math.ceil(steps) if math.isfinite(steps) else steps
+        raise ValueError(f"the pulsed window needs {needed} integrator steps, more than {_MAX_PULSE_STEPS}")
+    n = math.ceil(steps)
 
     # x: the pumped spectator's amplitude over its steady state, its RK4
     # stages scaling the pair's couplings (A holds them at full pump).

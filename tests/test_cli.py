@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import moptrans
-from moptrans import calibrate, cli
+from moptrans import calibrate, cli, hybridize
 from moptrans.calibrate import _report, doublet_transmission, rc_step_model, s11_model
 from moptrans.cli import _read_csv_columns, main
 from moptrans.config import _MODE_RE, _SCHEMA, load_config, parse_flat_toml
@@ -426,6 +426,29 @@ class TestSpectrumCommand:
         assert err.startswith(f"config error: {source} ") and str(n) in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_grid_finer_than_float_about_the_mode_is_config_error(self, tmp_path, capsys):
+        """1e-300 to 1e-12 Hz is ascending, but its offsets from the 3.48 GHz
+        mode all round to -3.48e9 Hz; this used to end in a raw ValueError
+        traceback from `Spectrum`."""
+        text = PAPER_CONFIG.replace("grid_start_hz = 3.38e9", "grid_start_hz = 1e-300")
+        text = text.replace("grid_stop_hz = 3.58e9", "grid_stop_hz = 1e-12")
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep grid") and "not ascending" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_far_acoustic_mode_spectrum(self, tmp_path):
+        """An overtone at 1e300 Hz leaves the spectrum about the transduction
+        mode finite: its normal modes are found without squaring 1e300."""
+        text = PAPER_CONFIG_FILE.read_text().replace("mode1_freq_hz = 3.165e9", "mode1_freq_hz = 1e300")
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        data = read_csv(out)
+        assert all(np.all(np.isfinite(data[name])) for name in data.dtype.names)
+        assert data["eta_onchip"].max() > 0.0
+
     def test_far_off_resonance_grid(self, tmp_path):
         """A grid near 1e300 Hz squares offsets past the float range; the
         efficiency is its limit there, 0, with no overflow warning."""
@@ -455,6 +478,15 @@ class TestPowerSweepCommand:
         assert slope == pytest.approx(1.0, abs=0.01)
         eta_db = 10 * np.log10(data["eta_tot"][-1])
         assert abs(eta_db - (-48.0)) < 3.0
+
+    def test_powers_share_the_supermodes(self, tmp_path):
+        """Every power of the sweep builds its own operating point, from
+        supermodes built once."""
+        hybridize._operating_point.cache_clear()
+        hybridize._supermodes.cache_clear()
+        out = tmp_path / "sweep.csv"
+        assert main(["power-sweep", "--config", str(write_config(tmp_path, PAPER_CONFIG)), "--out", str(out)]) == 0
+        assert hybridize._supermodes.cache_info().misses == 1
 
     def test_minus_inf_start_is_config_error(self, tmp_path):
         """-inf is a valid _dbm value (pump off) but not a sweep start: it used
@@ -545,6 +577,23 @@ class TestPulseCommand:
         err = capsys.readouterr().err
         assert re.search(r"config error: .*needs \d{13} integrator steps", err)
         assert "lockin_tau_s" in err and "sim_duration_s" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pump_config", ["antistokes", "stokes"])
+    @pytest.mark.parametrize("line", ["lockin_tau_s = 1e300", "sim_duration_s = 1e300"])
+    def test_infinite_step_count_is_config_error(self, tmp_path, capsys, pump_config, line):
+        """A window of about 1e311 steps is inf as a float; it used to end in
+        a raw OverflowError traceback from int()."""
+        text = PAPER_CONFIG.replace('pump_config = "antistokes"', f'pump_config = "{pump_config}"')
+        if line.startswith("lockin_tau_s"):
+            text = text.replace("lockin_tau_s = 30.0e-9", line)
+        else:
+            text += line + "\n"
+        out = tmp_path / "pulse.csv"
+        assert main(["pulse", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the pulsed window needs inf integrator steps")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_stokes_instability_message(self, tmp_path, capsys):
@@ -812,6 +861,16 @@ class TestBudgetCommand:
         assert "discrepancy" in pair["note"]
         assert pair["numeric"] == pytest.approx(pair["closed_form"], rel=5e-3)
         assert report["added_noise"]["n_added_up"] >= 1.0
+
+    def test_one_operating_point_build(self, tmp_path):
+        """The efficiency ledger, the noise, the pair rate and g2 of one
+        Stokes budget share one operating point: the memo misses once."""
+        text = PAPER_CONFIG.replace('pump_config = "antistokes"', 'pump_config = "stokes"')
+        hybridize._operating_point.cache_clear()
+        out = tmp_path / "budget.json"
+        assert main(["budget", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        info = hybridize._operating_point.cache_info()
+        assert info.misses == 1 and info.hits >= 4
 
     def test_non_finite_noise_is_config_error(self, tmp_path, capsys):
         """mode2_kappa_ex_hz = 1e-300 makes the added noise infinite and NaN;

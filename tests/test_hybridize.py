@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from moptrans import hybridize
 from moptrans.hybridize import (
+    band_integral,
     effective_couplings,
     eigen_oracle,
     left_ring_decomposition,
@@ -24,7 +27,7 @@ from moptrans.model import (
     dbm_to_watts,
 )
 
-from conftest import OMEGA_1550, intracavity_photons, make_rates_op
+from conftest import OMEGA_1550, intracavity_photons, make_paper_device, make_rates_op
 from test_response import detuned_ops
 
 W0 = OMEGA_1550
@@ -261,6 +264,22 @@ class TestOperatingPoint:
         op = operating_point(paper_device, pump_21dbm)
         assert op.sideband_resolution == pytest.approx(172e6 / 3.48e9, rel=1e-6)
 
+    @given(n_modes=st.sampled_from([1, 2]), configuration=st.sampled_from(list(Configuration)),
+           dbm=st.floats(-10.0, 21.0), detuning_hz=st.floats(-20e6, 20e6), which=st.integers(0, 1))
+    def test_memo_equals_fresh_build(self, n_modes, configuration, dbm, detuning_hz, which):
+        """The memoized point is the one a fresh, uncached build gives, and
+        the same object on a second call."""
+        dev = make_paper_device(n_modes)
+        pump = PumpConfig(configuration, dbm_to_watts(dbm))
+        mode = dev.acoustic_modes[min(which, n_modes - 1)]
+        op = operating_point(dev, pump, mode, TWO_PI * detuning_hz)
+        hybridize._supermodes.cache_clear()
+        fresh = hybridize._operating_point.__wrapped__(dev, pump, mode, TWO_PI * detuning_hz)
+        assert op == fresh
+        assert operating_point(dev, pump, mode, TWO_PI * detuning_hz) is op
+        if mode is dev.transduction_mode and detuning_hz == 0.0:
+            assert operating_point(dev, pump) is op
+
 
 @st.composite
 def phased_ops(draw):
@@ -309,3 +328,71 @@ class TestLinearModel:
         assert a[2, 2].imag == 0.0
         assert not np.any(a[0, 1:]) and not np.any(a[1:, 0])
         np.testing.assert_array_equal(np.array(m.c), -np.array(m.d) @ np.array(m.b).T)
+
+
+def residue(op):
+    """The d = 0 band integral of |S_ac|^2 by residues: pi K / ((a + b) c),
+    with K = kex_o kex_m |g|^2 and c = a b +- |g|^2."""
+    a, b = 0.5 * op.kappa_active, 0.5 * op.kappa_m
+    g2 = abs(op.g_active) ** 2
+    c = a * b + g2 if op.configuration is Configuration.ANTI_STOKES else a * b - g2
+    return math.pi * op.kappa_ex_active * op.kappa_ex_m * g2 / ((a + b) * c)
+
+
+def signal_integral(op):
+    """band_integral from the microwave input (c_in, or c_in_dag under
+    Stokes pumping) to a_out."""
+    m = linear_model(op)
+    return band_integral(m, m.inputs[1], "a_out")
+
+
+class TestBandIntegral:
+    """Integrals over all omega of |S_oi|^2 from the model's Gramian."""
+
+    @given(op=detuned_ops(Configuration.STOKES), c=st.one_of(st.just(0.0), st.floats(1e-12, 0.999)),
+           configuration=st.sampled_from(list(Configuration)))
+    def test_equals_residue_at_zero_detuning(self, op, c, configuration):
+        """At d = 0 the Gramian gives the residue, for C = 0 or at least
+        1e-12 (near C = 1e-308 its cross terms are subnormal and lose
+        digits); the rates are drawn as in `detuned_ops`."""
+        op = make_rates_op(configuration, cooperativity=c, kappa_m=op.kappa_m, kappa_o=op.kappa_active,
+                           eta_m=op.kappa_ex_m / op.kappa_m, eta_o=op.kappa_ex_active / op.kappa_active)
+        assert signal_integral(op) == pytest.approx(residue(op), rel=1e-12, abs=0.0)
+
+    @given(op=detuned_ops(Configuration.STOKES))
+    def test_matches_quadrature(self, op):
+        """Adaptive quadrature of the closed form over omega = s tan(theta),
+        split at the two normal modes (the eigenvalues lambda of A, at
+        omega = i lambda), agrees at detuned Stokes points."""
+        assume(op.cooperativity == 0.0 or op.cooperativity >= 1e-12)  # see the residue test
+        a, b, d = 0.5 * op.kappa_active, 0.5 * op.kappa_m, op.sideband_detuning
+        g2, k = abs(op.g_active) ** 2, op.kappa_ex_active * op.kappa_ex_m * abs(op.g_active) ** 2
+        lam = np.linalg.eigvals(np.array(linear_model(op).a)[1:, 1:])
+        s = float(max(-lam.real))
+
+        def integrand(theta):
+            w = s * math.tan(theta)
+            return k / abs((a - 1j * (w + d)) * (b - 1j * w) - g2) ** 2 * s / math.cos(theta) ** 2
+
+        poles = sorted(math.atan(float((1j * x).real) / s) for x in lam)
+        total, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi, points=poles,
+                        epsabs=0.0, epsrel=1e-10, limit=500)
+        assert signal_integral(op) == pytest.approx(total, rel=1e-6, abs=0.0)
+
+    @given(c=st.floats(0.99, 0.9999))
+    def test_scales_as_inverse_threshold_margin(self, c):
+        """Near the Stokes threshold the line narrows to kappa (1 - C) and
+        the integral grows as C / (1 - C)."""
+        near, far = (signal_integral(make_rates_op(Configuration.STOKES, cooperativity=x)) for x in (c, 0.5))
+        assert near * (1.0 - c) / c == pytest.approx(far, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("configuration", list(Configuration))
+    def test_direct_term_refused(self, configuration):
+        """A port pair with D_oi != 0 passes a constant through: its
+        integral is infinite."""
+        m = linear_model(make_rates_op(configuration))
+        for port in ("a", "b_loss"):
+            inp = next(name for name in m.inputs if name.startswith(port + "_in"))
+            out = m.outputs[m.inputs.index(inp)]
+            with pytest.raises(ValueError, match="band integral is infinite"):
+                band_integral(m, inp, out)

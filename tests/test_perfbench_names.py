@@ -4,6 +4,7 @@ as a failed benchmark run.  The harness files are parsed, not run."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,8 @@ def _references(path: Path) -> set[str]:
     return refs
 
 
-def _resolves(dotted: str) -> bool:
+def _lookup(dotted: str):
+    """The object a dotted name refers to; AttributeError if there is none."""
     parts = dotted.split(".")
     obj = importlib.import_module(parts[0])
     for i, part in enumerate(parts[1:], start=2):
@@ -47,9 +49,26 @@ def _resolves(dotted: str) -> bool:
             try:  # a submodule not imported yet
                 importlib.import_module(".".join(parts[:i]))
             except ImportError:
-                return False
+                pass
         obj = getattr(obj, part)
+    return obj
+
+
+def _resolves(dotted: str) -> bool:
+    try:
+        _lookup(dotted)
+    except AttributeError:
+        return False
     return True
+
+
+def _traced_layers() -> tuple[str, ...]:
+    """`tracing.LAYERS`, read from the harness source."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no LAYERS")
 
 
 HARNESS = sorted(PERFBENCH.glob("*.py"))
@@ -67,3 +86,17 @@ def test_harness_reads_every_layer():
     refs = set().union(*map(_references, HARNESS))
     layers = ("calibrate", "cli", "hybridize", "quantumstats", "response", "sfg", "timedomain")
     assert {ref.split(".")[1] for ref in refs if ref.count(".") >= 2} >= set(layers)
+
+
+def test_traced_callables_are_plain_functions():
+    """The tracer wraps only what `inspect.isfunction` accepts, so a public
+    function of a traced layer that the harness calls must stay a plain
+    function: a decorated one (an lru_cache wrapper, say) would go untraced
+    and leave its per-layer metric without calls."""
+    layers = {f"moptrans.{layer}" for layer in _traced_layers()}
+    refs = set().union(*map(_references, HARNESS))
+    wrapped = sorted(
+        ref for ref in refs if ref.rpartition(".")[0] in layers and _resolves(ref)
+        and callable(obj := _lookup(ref)) and not inspect.isclass(obj) and not inspect.isfunction(obj)
+    )
+    assert not wrapped, f"the tracer cannot wrap these: {wrapped}"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,12 +101,30 @@ class TestPairRate:
         rate = pair_rate_from_rates(op)
         assert rate.numeric == pytest.approx(rate.closed_form, rel=5e-3)
 
-    def test_grid_convergence(self):
-        op = make_rates_op(Configuration.STOKES, cooperativity=2e-3,
+    @pytest.mark.parametrize("c, detuning", [(2e-3, 0.0), (0.3, 0.7), (0.99, -0.4)])
+    def test_numeric_matches_quadrature(self, c, detuning):
+        """numeric integrates eta_- over all omega, with no grid: adaptive
+        quadrature over omega = kappa_m tan(theta), split at the acoustic
+        peak, agrees, detuned and near the threshold too."""
+        op = make_rates_op(Configuration.STOKES, cooperativity=c,
                            kappa_m=TWO_PI * 10e6, kappa_o=TWO_PI * 300e6)
-        coarse = pair_rate_from_rates(op, points_per_linewidth=16)
-        fine = pair_rate_from_rates(op, points_per_linewidth=32)
-        assert abs(fine.numeric - coarse.numeric) / fine.numeric < 1e-3
+        op = dataclasses.replace(op, sideband_detuning=detuning * op.kappa_active)
+        s = op.kappa_m
+
+        def integrand(theta):
+            return float(eta_spectrum_from_rates(op, s * math.tan(theta))) * s / math.cos(theta) ** 2
+
+        total, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi, points=[0.0],
+                        epsabs=0.0, epsrel=1e-11, limit=500)
+        assert pair_rate_from_rates(op).numeric == pytest.approx(total, rel=1e-8, abs=0.0)
+
+    def test_closed_form_is_exact_without_detuning(self):
+        """closed_form is the d = 0 residue pi eta_-[0] a b (1 - C) / (a + b):
+        the numeric value to rounding even near the threshold, where the
+        low-C form pi eta_-[0] a b / (a + b) would be 1 / (1 - C) too high."""
+        for c in (2e-3, 0.5, 0.999):
+            rate = pair_rate_from_rates(make_rates_op(Configuration.STOKES, cooperativity=c))
+            assert rate.closed_form == pytest.approx(rate.numeric, rel=1e-11, abs=0.0)
 
     def test_paper_inputs_do_not_give_190hz(self):
         """With eta_oc = 7.9e-5, kappa_- = 2pi x 300 MHz, kappa_m = 2pi x
