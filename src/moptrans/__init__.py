@@ -19,13 +19,10 @@ from .model import (
     x_zpf,
 )
 from .hybridize import (
-    EffectiveCouplings,
     OperatingPoint,
     Supermodes,
-    effective_couplings,
     eigen_oracle,
     operating_point,
-    steady_state_amplitudes,
     supermodes,
 )
 
@@ -35,7 +32,6 @@ __all__ = [
     "Configuration",
     "ConvergenceError",
     "DeviceParams",
-    "EffectiveCouplings",
     "InstabilityError",
     "OperatingPoint",
     "OpticalModeBare",
@@ -44,12 +40,10 @@ __all__ = [
     "Supermodes",
     "db_to_linear",
     "dbm_to_watts",
-    "effective_couplings",
     "eigen_oracle",
     "linear_to_db",
     "operating_point",
     "photon_flux",
-    "steady_state_amplitudes",
     "supermodes",
     "watts_to_dbm",
     "x_zpf",

@@ -3,9 +3,11 @@
 Verbs: spectrum, power-sweep, pulse, fit <kind>, budget.  CSV outputs carry
 '#'-prefixed metadata lines (tool version, config hash, command, seed) and
 a header row; floats are printed with 12 significant digits so identical
-configs produce byte-identical files; `pulse` keeps every k-th lock-in
-sample and the last, k = max(1, floor(lockin_tau_s / (100 dt))) for the
-integrator step dt, and writes the steps, dt and k in a '# diag:' line.
+configs produce byte-identical files.  `pulse` always runs a Stokes pump at
+pump_power_dbm and pump_freq_hz, whatever pump_config says; it keeps every
+k-th lock-in sample and the last, k = max(1, floor(lockin_tau_s / (100
+dt))) for the integrator step dt, and writes the steps, dt and k in a
+'# diag:' line.
 The `budget` JSON writes the model's records field for field: `efficiency`
 is `response.EfficiencyBudget` plus `eta_tot_db`, `added_noise` is
 `quantumstats.NoiseReport`, and `pair_generation` (Stokes only) is
@@ -42,7 +44,6 @@ from .hybridize import operating_point
 from .model import (
     TWO_PI,
     Configuration,
-    PumpConfig,
     dbm_to_watts,
     linear_to_db,
     photon_flux,
@@ -192,7 +193,7 @@ def cmd_power_sweep(cfg: RunConfig, args) -> int:
     dbm = np.linspace(float(start), float(stop), n)
     rows = []
     for p in dbm:
-        pump = PumpConfig(cfg.pump.configuration, dbm_to_watts(float(p)), cfg.pump.omega_l)
+        pump = dataclasses.replace(cfg.pump, power_in=dbm_to_watts(float(p)))
         budget = response.offchip_efficiency(cfg.device, pump)
         rows.append([p] + [getattr(budget, field) for _, field in _POWER_SWEEP_COLUMNS])
     header = ["power_dbm"] + [name for name, _ in _POWER_SWEEP_COLUMNS]
@@ -226,7 +227,7 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
             pulse,
             optical_input_flux=flux,
             lockin=lockin,
-            pump_power=cfg.pump.power_in,
+            pump=cfg.pump,
             duration=float(duration) if duration is not None else None,
         )
     except ValueError as exc:
@@ -376,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum = common(sub.add_parser("spectrum", help="conversion-efficiency spectrum CSV"))
     spectrum.add_argument("--grid", default=None, help="start,stop,n frequency grid [Hz]")
     common(sub.add_parser("power-sweep", help="efficiency chain vs pump power CSV"))
-    common(sub.add_parser("pulse", help="pulsed down-conversion envelope CSV: every k-th lock-in "
+    common(sub.add_parser("pulse", help="pulsed down-conversion envelope CSV, always under a Stokes pump at "
+                          "pump_power_dbm and pump_freq_hz whatever pump_config says: every k-th lock-in "
                           "sample and the last, k = max(1, floor(lockin_tau_s / (100 dt)))"))
     fit_help = ("parameter recovery from measured data; doublet fits one spectrum and reports "
                 "kappa_plus, kappa_minus, kappa_ex, splitting and omega_center")

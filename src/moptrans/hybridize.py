@@ -73,14 +73,6 @@ class Supermodes:
                 raise ValueError(f"participation amplitudes not normalized: {norm!r}")
 
 
-@dataclass(frozen=True)
-class EffectiveCouplings:
-    """Pump-dressed multi-photon coupling rates g_-+ [rad/s]."""
-
-    g_minus: complex
-    g_plus: complex
-
-
 def _branch_fixed_w(d: complex, j: float) -> complex:
     """Complex splitting W = sqrt(D^2 - 4J^2) with the documented branch."""
     w = cmath.sqrt(d * d - 4.0 * j * j)
@@ -198,63 +190,6 @@ def eigen_oracle(
     lam = np.linalg.eigvals(m)
     lam = sorted(lam, key=lambda z: (z.imag, z.real))
     return complex(lam[0]), complex(lam[1])
-
-
-def steady_state_amplitudes(
-    sm: Supermodes, pump: PumpConfig, eta_fiber_chip: float, pump_detuning: float = 0.0
-) -> tuple[complex, complex]:
-    """Steady-state supermode amplitudes under a pump offset by
-    `pump_detuning` (rad/s) from the supermode it addresses.
-
-    alpha_pm = sqrt(kappa_ex_pm) s_in / (-i Delta_pm + kappa_pm / 2) with
-    |s_in|^2 the photon flux in the bus waveguide.  Delta on the addressed
-    supermode is the pump detuning; on the other one it is further offset
-    by -splitting (anti-Stokes, pump on a_-) or +splitting (Stokes, pump on
-    a_+).
-    """
-    flux = photon_flux(eta_fiber_chip * pump.power_in, pump.omega_l_effective)
-    s_in = math.sqrt(flux)
-    split = sm.omega_plus - sm.omega_minus
-    if pump.configuration is Configuration.ANTI_STOKES:
-        delta_minus = pump_detuning
-        delta_plus = pump_detuning - split
-    else:
-        delta_plus = pump_detuning
-        delta_minus = pump_detuning + split
-    a_minus = math.sqrt(sm.kappa_ex_minus) * s_in / (-1j * delta_minus + 0.5 * sm.kappa_minus)
-    a_plus = math.sqrt(sm.kappa_ex_plus) * s_in / (-1j * delta_plus + 0.5 * sm.kappa_plus)
-    return a_minus, a_plus
-
-
-def left_ring_decomposition(sm: Supermodes) -> tuple[complex, complex]:
-    """Coefficients (x, y) of the acoustically coupled (left) ring in the
-    supermode basis, a_l = x a_- + y a_+, taken as the projections
-    (alpha_-*, alpha_+*)."""
-    return sm.alpha_minus.conjugate(), sm.alpha_plus.conjugate()
-
-
-def effective_couplings(
-    g0: float,
-    x: complex,
-    y: complex,
-    alpha_ss_minus: complex,
-    alpha_ss_plus: complex,
-) -> EffectiveCouplings:
-    """Pump-dressed coupling rates
-
-        g_- = g0 (|x|^2 alpha_- + x* y alpha_+),
-        g_+ = g0 (|y|^2 alpha_+ + x y* alpha_-).
-
-    (x, y) must decompose the left ring in the supermode basis; a norm away
-    from one beyond the physical non-orthogonality budget signals
-    inconsistent hybridization data.
-    """
-    norm = abs(x) ** 2 + abs(y) ** 2
-    if abs(norm - 1.0) > 1e-3:
-        raise ValueError(f"(x, y) not normalized: |x|^2+|y|^2 = {norm!r}")
-    g_minus = g0 * (abs(x) ** 2 * alpha_ss_minus + x.conjugate() * y * alpha_ss_plus)
-    g_plus = g0 * (abs(y) ** 2 * alpha_ss_plus + x * y.conjugate() * alpha_ss_minus)
-    return EffectiveCouplings(g_minus=g_minus, g_plus=g_plus)
 
 
 @dataclass(frozen=True)
@@ -441,6 +376,30 @@ def operating_point(
     Stokes, with omega_m,t the transduction mode's frequency.  The last
     few distinct points are memoized, so the verbs and a design study that
     ask for one point several times build it once.
+
+    The build, with s = omega_+ - omega_- the supermode splitting:
+
+    - the bus photon flux |s_in|^2 = eta_fiber_chip P_in / (hbar omega_L),
+      omega_L = pump.omega_l_effective;
+    - the steady-state pump amplitudes of the supermodes,
+      A_pm = sqrt(kappa_ex,pm) s_in / (-i Delta_pm + kappa_pm / 2), where
+      Delta is pump_detuning on the pumped supermode (a_- anti-Stokes, a_+
+      Stokes) and further offset on the other one: Delta_+ = pump_detuning
+      - s (anti-Stokes), Delta_- = pump_detuning + s (Stokes); n_pump is
+      |A|^2 of the pumped one;
+    - the acoustically coupled (left) ring in the supermode basis, a_l =
+      x a_- + y a_+, with (x, y) = (alpha_-*, alpha_+*) the conjugated
+      left-ring participations of `Supermodes`;
+    - the pump-dressed couplings g_- = g0 (|x|^2 A_- + x* y A_+) and
+      g_+ = g0 (|y|^2 A_+ + x y* A_-).
+
+    |x|^2 + |y|^2 = 1 exactly: the supermodes are eigenvectors of the
+    complex-symmetric [[chi_l^-1, -iJ], [-iJ, chi_r^-1]], so v_-^T v_+ = 0,
+    which in two dimensions makes v_+ proportional to (-beta_-, alpha_-);
+    hence |alpha_+| = |beta_-| and |alpha_-|^2 + |alpha_+|^2 = |alpha_-|^2
+    + |beta_-|^2 = 1.  At the exceptional point the two coalesce into a
+    self-orthogonal vector with |alpha| = |beta| = 1/sqrt(2), and the sum
+    is 1 there too.
     """
     mode = acoustic_mode if acoustic_mode is not None else params.transduction_mode
     return _operating_point(params, pump, mode, pump_detuning)
@@ -458,18 +417,19 @@ def _operating_point(
     frozen dataclasses and floats, so they key the memo."""
     ref = params.transduction_mode
     sm = _supermodes(params.left, params.right, params.coupling_j)
-    a_minus, a_plus = steady_state_amplitudes(
-        sm, pump, params.losses.eta_fiber_chip, pump_detuning
-    )
-    x, y = left_ring_decomposition(sm)
-    coup = effective_couplings(params.g0, x, y, a_minus, a_plus)
+    s_in = math.sqrt(photon_flux(params.losses.eta_fiber_chip * pump.power_in, pump.omega_l_effective))
+    split = sm.omega_plus - sm.omega_minus
     mode_offset = mode.omega_m - ref.omega_m
-    if pump.configuration is Configuration.ANTI_STOKES:
-        n_pump = abs(a_minus) ** 2
+    anti_stokes = pump.configuration is Configuration.ANTI_STOKES
+    if anti_stokes:
+        delta_minus, delta_plus = pump_detuning, pump_detuning - split
         sideband_detuning = pump_detuning + mode_offset
     else:
-        n_pump = abs(a_plus) ** 2
+        delta_minus, delta_plus = pump_detuning + split, pump_detuning
         sideband_detuning = pump_detuning - mode_offset
+    a_minus = math.sqrt(sm.kappa_ex_minus) * s_in / (-1j * delta_minus + 0.5 * sm.kappa_minus)
+    a_plus = math.sqrt(sm.kappa_ex_plus) * s_in / (-1j * delta_plus + 0.5 * sm.kappa_plus)
+    x, y = sm.alpha_minus.conjugate(), sm.alpha_plus.conjugate()
     return OperatingPoint(
         configuration=pump.configuration,
         omega_m=mode.omega_m,
@@ -479,9 +439,9 @@ def _operating_point(
         kappa_plus=sm.kappa_plus,
         kappa_ex_minus=sm.kappa_ex_minus,
         kappa_ex_plus=sm.kappa_ex_plus,
-        g_minus=coup.g_minus,
-        g_plus=coup.g_plus,
+        g_minus=params.g0 * (abs(x) ** 2 * a_minus + x.conjugate() * y * a_plus),
+        g_plus=params.g0 * (abs(y) ** 2 * a_plus + x * y.conjugate() * a_minus),
         splitting=sm.delta_omega,
-        n_pump=n_pump,
+        n_pump=abs(a_minus if anti_stokes else a_plus) ** 2,
         sideband_detuning=sideband_detuning,
     )

@@ -62,7 +62,9 @@ def n_thermal(omega: float, temperature: float) -> float:
     x = HBAR * omega / k_t
     if x > 700.0:
         return 0.0
-    return 1.0 / math.expm1(x)
+    # hbar omega underflows to 0 below about 1e-290 rad/s, where the
+    # occupancy k_B T / (hbar omega) is beyond the float range
+    return 1.0 / math.expm1(x) if x > 0.0 else math.inf
 
 
 def decoherence_rate(kappa_m: float, n_th: float) -> float:
@@ -209,14 +211,15 @@ def g2_cross_from_rates(op: OperatingPoint, omega: float, n_th: float) -> float:
     s_ac = transfer_from_rates(op, "microwave", "optical", omega)
     s_ca = transfer_from_rates(op, "optical", "microwave", omega)
     eta = abs(s_ac) ** 2
-    if eta <= 0.0:
-        raise InstabilityError("eta_- = 0: cross-correlation diverges")
-
     denom_c = eta + abs(s_cc) ** 2 * n_th
+    scale = eta * denom_c * (1.0 + n_th)
+    if scale <= 0.0:  # eta = 0, or so small (below about 1e-162) that the product underflows
+        raise InstabilityError(f"eta_- = {eta!r}: cross-correlation diverges")
+
     term1 = (abs(s_aa) ** 2 + eta) / (denom_c * (1.0 + n_th))
     term2 = n_th / (1.0 + n_th)
     interference = s_aa.conjugate() * s_ac * s_ca.conjugate() * s_cc
-    term3 = 2.0 * interference.real * n_th / (eta * denom_c * (1.0 + n_th))
+    term3 = 2.0 * interference.real * n_th / scale
     return term1 + term2 + term3
 
 

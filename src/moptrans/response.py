@@ -123,7 +123,9 @@ def eta_internal(c: float, configuration: Configuration) -> float:
         raise ValueError("cooperativity must be non-negative")
     check_stokes_threshold(configuration, c)
     if configuration is Configuration.ANTI_STOKES:
-        return 4.0 * c / (1.0 + c) ** 2
+        # (1 + c)^2 overflows past c ~ 1e154, where 4c / (1 + c)^2 is 4 / c
+        # to float precision
+        return 4.0 * c / (1.0 + c) ** 2 if c < 1e154 else 4.0 / c
     return 4.0 * c / (1.0 - c) ** 2
 
 

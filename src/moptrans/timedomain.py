@@ -34,7 +34,7 @@ t), where Im(A_ss) = d + splitting (anti-Stokes) or d - splitting (Stokes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -194,9 +194,10 @@ def _stepper(t0, dt, n, lam, pair, inputs):
     times followed by its midpoints, each a scalar or an array over ts; the
     stage at t_k + h uses the sample at t_{k+1}.  e = None makes the
     coupling follow x's own RK4 stage values (a pump ring-up).
-    |x| + |y_0| + |y_1| is tested for divergence every _CHECK_EVERY steps,
-    at the end of each block.  Yields (t, x, y_0, y_1) arrays: the zero
-    state at t0, then each block's states after its steps."""
+    |x| + |y_0| + |y_1| is tested for divergence every _CHECK_EVERY steps
+    and at the end of each block, so a run shorter than _CHECK_EVERY steps
+    is tested too.  Yields (t, x, y_0, y_1) arrays: the zero state at t0,
+    then each block's states after its steps."""
     d0, d1, c0, c1 = pair
     x = y0 = y1 = 0.0j
     half = 0.5 * dt
@@ -224,7 +225,8 @@ def _stepper(t0, dt, n, lam, pair, inputs):
         col1 = _rk4_affine(a, no_force, [0.0, 1.0], dt)
         u = _rk4_affine(a, list(zip(f0, f1)), [0.0, 0.0], dt)
         block = (xs, *_scan_pair((col0[0], col1[0], u[0], col0[1], col1[1], u[1]), y0, y1, nb))
-        check = np.arange(_CHECK_EVERY - 1, nb, _CHECK_EVERY)  # k0 is a multiple of _CHECK_EVERY
+        # k0 is a multiple of _CHECK_EVERY; the block's last step is checked too
+        check = np.append(np.arange(_CHECK_EVERY - 1, nb - 1, _CHECK_EVERY), nb - 1)
         with np.errstate(over="ignore", invalid="ignore"):
             mag = sum(np.abs(v[check]) for v in block)
         bad = np.flatnonzero(~(mag <= _OVERFLOW))
@@ -352,24 +354,26 @@ def pulsed_downconversion(
     pulse: PulseSequence,
     optical_input_flux: float,
     lockin: LockInConfig,
-    pump_power: float,
+    pump: PumpConfig,
     duration: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """End-to-end pulsed optical-to-microwave conversion.
 
-    A Stokes pump of peak off-chip power `pump_power` [W] is gated by
-    `pulse`; the intracavity pump amplitude follows its own ring-up ODE, so
-    the effective coupling g_-(t) is not assumed instantaneous.  A CW
-    optical tone of on-chip photon flux `optical_input_flux` [1/s] sits on
-    the lower supermode; the converted microwave output at the acoustic
-    carrier is synthesized as a real waveform and demodulated by the
-    lock-in model.  The pulse starts at 3 tau_rc, and the integrator
-    takes 24 steps per acoustic carrier cycle; a window of more than
-    _MAX_PULSE_STEPS steps raises ValueError before anything is allocated.
+    `pump` runs as a Stokes pump whatever its configuration, at its
+    power_in (the peak off-chip power) and its omega_l (the photon
+    energy), gated by `pulse`; the intracavity pump amplitude follows its
+    own ring-up ODE, so the effective coupling g_-(t) is not assumed
+    instantaneous.  A CW optical tone of on-chip photon flux
+    `optical_input_flux` [1/s] sits on the lower supermode; the converted
+    microwave output at the acoustic carrier is synthesized as a real
+    waveform and demodulated by the lock-in model.  The pulse starts at 3
+    tau_rc, and the integrator takes 24 steps per acoustic carrier cycle;
+    a window of more than _MAX_PULSE_STEPS steps raises ValueError before
+    anything is allocated.
 
     Returns (t, amplitude, phase).
     """
-    op = operating_point(params, PumpConfig(Configuration.STOKES, pump_power))
+    op = operating_point(params, replace(pump, configuration=Configuration.STOKES))
     check_stokes_threshold(op.configuration, op.cooperativity)
 
     dt = 1.0 / (24 * (op.omega_m / TWO_PI))  # 24 steps per acoustic carrier cycle

@@ -309,7 +309,7 @@ def test_criterion_11_pulsed_rise_time():
         lockin = timedomain.LockInConfig(TWO_PI * 3.48e9, 30e-9)
         t, amp, _ = timedomain.pulsed_downconversion(
             fast_device, pulse, optical_input_flux=1e12, lockin=lockin,
-            pump_power=0.05, duration=0.6e-6,
+            pump=PumpConfig(Configuration.STOKES, 0.05), duration=0.6e-6,
         )
         report = calibrate.fit_rc_step(t, amp)
         tau = report.parameters["tau_rc"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from moptrans.calibrate import _report, doublet_transmission, rc_step_model, s11
 from moptrans.cli import _read_csv_columns, main
 from moptrans.config import _MODE_RE, _SCHEMA, load_config, parse_flat_toml
 from moptrans.errors import ConfigError
-from moptrans.model import TWO_PI
+from moptrans.model import TWO_PI, Configuration
 
 from conftest import OMEGA_1550
 from test_calibrate import DOUBLET_KEYS, DOUBLET_TRUTH
@@ -449,6 +450,28 @@ class TestSpectrumCommand:
         assert all(np.all(np.isfinite(data[name])) for name in data.dtype.names)
         assert data["eta_onchip"].max() > 0.0
 
+    @pytest.mark.parametrize("lines, message", [
+        (("mode2_kappa_hz = 0.0", "mode2_kappa_ex_hz = 0.0"),
+         "the operating point cannot be built at pump_power_dbm for the 3.165e+09 Hz acoustic mode: "
+         "float division by zero"),
+        (("mode2_kappa_hz = 1e300",),
+         "kappa_o kappa_m at pump_power_dbm for the 3.165e+09 Hz acoustic mode overflows"),
+        (("mode1_kappa_hz = 1e300",), "kappa_o kappa_m at pump_power_dbm overflows"),
+    ])
+    def test_every_acoustic_mode_is_checked_on_load(self, tmp_path, capsys, lines, message):
+        """The spectrum builds every acoustic mode's operating point, and its
+        poles take kappa_o kappa_m; a point it cannot build, or a product that
+        overflows, used to end in a raw ZeroDivisionError or ValueError
+        traceback.  Load refuses them, for every verb."""
+        text = PAPER_CONFIG + TWO_MODE_EXTRA
+        for line in lines:
+            key = line.split(" = ")[0]
+            text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: invalid device parameters: {message}\n"
+        assert not out.exists()
+
     def test_far_off_resonance_grid(self, tmp_path):
         """A grid near 1e300 Hz squares offsets past the float range; the
         efficiency is its limit there, 0, with no overflow warning."""
@@ -509,6 +532,17 @@ class TestPowerSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: power_points = 10000000000") and "Traceback" not in err
         assert not out.exists()
+
+    def test_huge_cooperativity_rows_are_finite(self, tmp_path):
+        """A 1e-300 Hz acoustic linewidth gives C ~ 1e300 at the top powers,
+        whose (1 + C)^2 used to raise a raw OverflowError."""
+        text = PAPER_CONFIG.replace("mode1_kappa_hz = 13.0e6", "mode1_kappa_hz = 1e-300")
+        text = text.replace("mode1_kappa_ex_hz = 1.43e6", "mode1_kappa_ex_hz = 0.0")
+        out = tmp_path / "sweep.csv"
+        assert main(["power-sweep", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        data = read_csv(out)
+        assert all(np.all(np.isfinite(data[name])) for name in data.dtype.names)
+        assert data["C"][-1] > 1e300
 
     def test_tiny_power_row_is_negligible(self, tmp_path):
         text = PAPER_CONFIG.replace("power_start_dbm = 0.0", "power_start_dbm = -200.0")
@@ -594,6 +628,40 @@ class TestPulseCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: the pulsed window needs inf integrator steps")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_pump_frequency_reaches_the_pulse(self, tmp_path, monkeypatch):
+        """With pump_freq_hz set, the pulse builds the Stokes point that
+        `operating_point` gives for the run's pump.  It used to build its
+        pump from the power alone, with the 1550 nm photon energy: at
+        228.85 THz and 10 dBm it held 4.01e7 pump photons, not 3.39e7."""
+        from moptrans import timedomain
+
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(hybridize.operating_point(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(timedomain, "operating_point", spy)
+        text = PAPER_CONFIG.replace("pump_power_dbm = 21.0", "pump_power_dbm = 10.0")
+        cfg = write_config(tmp_path, text + "pump_freq_hz = 228.85e12\nsim_duration_s = 0.02e-6\n")
+        assert main(["pulse", "--config", str(cfg), "--out", str(tmp_path / "pulse.csv")]) == 0
+        run = load_config(cfg)
+        stokes = hybridize.operating_point(run.device, dataclasses.replace(run.pump, configuration=Configuration.STOKES))
+        assert built == [stokes]
+        assert stokes.n_pump == pytest.approx(3.39e7, rel=0.01)
+
+    def test_short_diverging_window_is_instability(self, tmp_path, capsys):
+        """A 1e12 Hz acoustic linewidth makes the 24-steps-per-cycle RK4 step
+        diverge; over a window of 168 steps, fewer than one divergence check
+        interval, this used to exit 0 with NaN rows."""
+        text = PAPER_CONFIG.replace("mode1_kappa_hz = 13.0e6", "mode1_kappa_hz = 1e12")
+        text = text.replace("lockin_tau_s = 30.0e-9", "lockin_tau_s = 1e-12") + "sim_duration_s = 2e-9\n"
+        out = tmp_path / "pulse.csv"
+        with pytest.warns(RuntimeWarning):  # numpy's overflow inside the divergent steps
+            assert main(["pulse", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("instability: trajectory diverged at t=")
         assert not out.exists()
 
     def test_stokes_instability_message(self, tmp_path, capsys):
@@ -881,6 +949,28 @@ class TestBudgetCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: the output would contain a non-finite number")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_vanishing_mode_frequency_is_config_error(self, tmp_path, capsys):
+        """A 1e-300 Hz transduction mode has an occupancy past the float range;
+        it used to end in a raw ZeroDivisionError traceback, and the strict
+        JSON now refuses it."""
+        text = PAPER_CONFIG.replace("coupling_j_hz = 1.74e9", "coupling_j_hz = 2.0")
+        text = text.replace("mode1_freq_hz = 3.48e9", "mode1_freq_hz = 1e-300")
+        out = tmp_path / "budget.json"
+        assert main(["budget", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: the output would contain a non-finite number")
+        assert not out.exists()
+
+    def test_underflowing_eta_stokes_budget_is_instability(self, tmp_path, capsys):
+        """kappa_ex_m = 1e-300 Hz at 0 K: eta_- squares to 0 in g2, which used
+        to raise a raw ZeroDivisionError."""
+        text = PAPER_CONFIG.replace('pump_config = "antistokes"', 'pump_config = "stokes"')
+        text = text.replace("mode1_kappa_ex_hz = 1.43e6", "mode1_kappa_ex_hz = 1e-300")
+        text = text.replace("temperature_k = 0.8", "temperature_k = 0.0")
+        out = tmp_path / "budget.json"
+        assert main(["budget", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 3
+        assert "cross-correlation diverges" in capsys.readouterr().err
         assert not out.exists()
 
     def test_subnormal_temperature_is_zero_kelvin(self, tmp_path):

@@ -11,20 +11,19 @@ from scipy.integrate import quad
 from moptrans import hybridize
 from moptrans.hybridize import (
     band_integral,
-    effective_couplings,
     eigen_oracle,
-    left_ring_decomposition,
     linear_model,
     operating_point,
-    steady_state_amplitudes,
     supermodes,
 )
 from moptrans.model import (
     TWO_PI,
     Configuration,
+    DeviceParams,
     OpticalModeBare,
     PumpConfig,
     dbm_to_watts,
+    photon_flux,
 )
 
 from conftest import OMEGA_1550, intracavity_photons, make_paper_device, make_rates_op
@@ -181,65 +180,83 @@ class TestSupermodes:
             assert abs(sw.alpha_plus) == pytest.approx(abs(sm.beta_plus), abs=1e-9)
 
 
+@st.composite
+def ring_pairs(draw):
+    """(left, right, J) spanning weak and strong coupling, half of them
+    within 1e-3 of the exceptional point D^2 = 4 J^2 (delta ~ 0, J ~
+    |mu|/4), some exactly on it."""
+    kappa_l, kappa_r = (TWO_PI * 10.0 ** draw(st.floats(6.5, 9.0)) for _ in range(2))
+    mu, widest = kappa_l - kappa_r, max(kappa_l, kappa_r)
+    if draw(st.booleans()):
+        j = 0.25 * abs(mu) * (1.0 + draw(st.just(0.0) | st.floats(-1e-3, 1e-3)))
+        delta = draw(st.just(0.0) | st.floats(-1e-6, 1e-6)) * abs(mu)
+    else:
+        j = 10.0 ** draw(st.floats(-1.5, 1.5)) * widest
+        delta = draw(st.floats(-5.0, 5.0)) * widest
+    left = OpticalModeBare(W0 + 0.5 * delta, 0.6 * kappa_l, 0.4 * kappa_l)
+    right = OpticalModeBare(W0 - 0.5 * delta, 0.6 * kappa_r, 0.4 * kappa_r)
+    return left, right, j
+
+
 class TestSteadyState:
-    def test_zero_power(self, paper_device):
-        sm = supermodes(paper_device.left, paper_device.right, paper_device.coupling_j)
-        pump = PumpConfig(Configuration.ANTI_STOKES, 0.0)
-        a_minus, a_plus = steady_state_amplitudes(sm, pump, 0.4)
-        assert a_minus == 0.0 and a_plus == 0.0
+    """The pump amplitudes that `operating_point` builds."""
+
+    @pytest.mark.parametrize("configuration", list(Configuration))
+    def test_zero_power(self, paper_device, configuration):
+        op = operating_point(paper_device, PumpConfig(configuration, 0.0))
+        assert op.n_pump == 0.0 and op.g_minus == 0.0 and op.g_plus == 0.0
 
     def test_resonant_amplitude_matches_photon_number(self, paper_device, pump_21dbm):
-        sm = supermodes(paper_device.left, paper_device.right, paper_device.coupling_j)
-        a_minus, _ = steady_state_amplitudes(
-            sm, pump_21dbm, paper_device.losses.eta_fiber_chip
-        )
-        n = intracavity_photons(paper_device, pump_21dbm)
-        assert abs(a_minus) ** 2 == pytest.approx(n, rel=1e-9)
-        assert abs(a_minus) ** 2 == pytest.approx(5.1e8, rel=0.02)
+        n = operating_point(paper_device, pump_21dbm).n_pump
+        assert n == pytest.approx(intracavity_photons(paper_device, pump_21dbm), rel=1e-9)
+        assert n == pytest.approx(5.1e8, rel=0.02)
 
     def test_stokes_mirror_symmetry(self, paper_device):
-        # symmetric doublet: Stokes |alpha_+| equals anti-Stokes |alpha_-|
-        sm = supermodes(paper_device.left, paper_device.right, paper_device.coupling_j)
-        p_as = PumpConfig(Configuration.ANTI_STOKES, 0.05)
-        p_s = PumpConfig(Configuration.STOKES, 0.05)
-        am_as, _ = steady_state_amplitudes(sm, p_as, 0.4)
-        _, ap_s = steady_state_amplitudes(sm, p_s, 0.4)
-        assert abs(ap_s) == pytest.approx(abs(am_as), rel=1e-12)
+        # rings at one frequency: the supermodes share kappa and kappa_ex, so
+        # the Stokes pump fills a_+ as the anti-Stokes pump fills a_-
+        n_as = operating_point(paper_device, PumpConfig(Configuration.ANTI_STOKES, 0.05)).n_pump
+        n_s = operating_point(paper_device, PumpConfig(Configuration.STOKES, 0.05)).n_pump
+        assert n_s == pytest.approx(n_as, rel=1e-12)
 
 
 class TestEffectiveCouplings:
-    def test_direct_substitution(self):
-        inv = 1.0 / math.sqrt(2.0)
-        alpha = 12345.0
-        coup = effective_couplings(TWO_PI * 42.0, inv, inv, alpha, 0.0)
-        assert coup.g_minus == pytest.approx(TWO_PI * 42.0 * alpha / 2.0, rel=1e-12)
-        assert coup.g_plus == pytest.approx(TWO_PI * 42.0 * alpha / 2.0, rel=1e-12)
+    """g_- = g0 (|x|^2 A_- + x* y A_+) and g_+ = g0 (|y|^2 A_+ + x y* A_-),
+    (x, y) = (alpha_-*, alpha_+*), as `operating_point` builds them."""
 
-    def test_zero_pump(self):
-        coup = effective_couplings(TWO_PI * 42.0, 1.0, 0.0, 0.0, 0.0)
-        assert coup.g_minus == 0.0 and coup.g_plus == 0.0
+    @given(pair=ring_pairs())
+    def test_left_ring_exactly_normalized(self, pair):
+        """|alpha_-|^2 + |alpha_+|^2 = 1: the eigenvectors of a
+        complex-symmetric 2x2 are transpose-orthogonal."""
+        sm = supermodes(*pair)
+        assert abs(sm.alpha_minus) ** 2 + abs(sm.alpha_plus) ** 2 == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
-    def test_triangle_inequality(self, rng):
-        g0 = TWO_PI * 42.0
-        for _ in range(300):
-            theta = rng.uniform(0.0, math.pi / 2.0)
-            phase = np.exp(1j * rng.uniform(0, TWO_PI))
-            x, y = math.cos(theta), math.sin(theta) * phase
-            a_minus = rng.uniform(0, 3e4) * np.exp(1j * rng.uniform(0, TWO_PI))
-            a_plus = rng.uniform(0, 3e4) * np.exp(1j * rng.uniform(0, TWO_PI))
-            coup = effective_couplings(g0, x, y, a_minus, a_plus)
-            bound = g0 * (abs(a_minus) + abs(a_plus)) * (1.0 + 1e-12)
-            assert abs(coup.g_minus) <= bound
-            assert abs(coup.g_plus) <= bound
+    def test_symmetric_doublet(self):
+        """Identical rings: x = y = 1/sqrt(2), so g_- = g_+ = g0 (A_- + A_+)
+        / 2, with the resonant A_- = sqrt(n_pump) and the spectator A_+ =
+        A_- kappa / (kappa + 2 i s) one splitting s = 2J away."""
+        dev = make_paper_device()
+        ring = mode()
+        dev = DeviceParams(ring, ring, dev.coupling_j, dev.acoustic_modes, dev.g0, dev.losses)
+        op = operating_point(dev, PumpConfig(Configuration.ANTI_STOKES, dbm_to_watts(21.0)))
+        a_minus = math.sqrt(op.n_pump)
+        a_plus = a_minus * ring.kappa / (ring.kappa + 2j * op.splitting)
+        assert op.g_plus == pytest.approx(0.5 * dev.g0 * (a_minus + a_plus), rel=1e-12)
+        assert op.g_minus == pytest.approx(op.g_plus, rel=1e-12)
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            effective_couplings(1.0, 1.0, 1.0, 0.0, 0.0)
-
-    def test_left_ring_decomposition_normalized(self, paper_device):
-        sm = supermodes(paper_device.left, paper_device.right, paper_device.coupling_j)
-        x, y = left_ring_decomposition(sm)
-        assert abs(x) ** 2 + abs(y) ** 2 == pytest.approx(1.0, abs=1e-3)
+    @given(pair=ring_pairs(), configuration=st.sampled_from(list(Configuration)),
+           dbm=st.floats(-30.0, 25.0), detuning_hz=st.floats(-5e9, 5e9))
+    def test_couplings_share_the_left_ring_amplitude(self, pair, configuration, dbm, detuning_hz):
+        """g_- / x* = g_+ / y* = g0 (x A_- + y A_+), the pump amplitude of
+        the left ring; so g_- alpha_+ = g_+ alpha_-, to rounding in
+        g0 (|A_-| + |A_+|) <= 2 g0 s_in (kappa_-^-1/2 + kappa_+^-1/2)."""
+        base = make_paper_device()
+        dev = DeviceParams(*pair, base.acoustic_modes, base.g0, base.losses)
+        pump = PumpConfig(configuration, dbm_to_watts(dbm))
+        op = operating_point(dev, pump, pump_detuning=TWO_PI * detuning_hz)
+        sm = supermodes(*pair)
+        s_in = math.sqrt(photon_flux(dev.losses.eta_fiber_chip * pump.power_in, pump.omega_l_effective))
+        scale = 2.0 * dev.g0 * s_in * (sm.kappa_minus ** -0.5 + sm.kappa_plus ** -0.5)
+        assert abs(op.g_minus * sm.alpha_plus - op.g_plus * sm.alpha_minus) <= 1e-12 * scale
 
 
 class TestOperatingPoint:

@@ -32,6 +32,11 @@ class TestThermalOccupancy:
         """k_B T underflows to 0 here; this used to raise ZeroDivisionError."""
         assert n_thermal(TWO_PI * 3.5e9, temperature) == 0.0
 
+    def test_vanishing_frequency_is_infinite(self):
+        """hbar omega underflows to 0 at 1e-300 rad/s; this used to raise
+        ZeroDivisionError, and the occupancy k_B T / (hbar omega) is inf."""
+        assert n_thermal(1e-300, 298.0) == math.inf
+
     def test_800mk_value(self):
         assert n_thermal(TWO_PI * 3.5e9, 0.8) == pytest.approx(4.3, rel=0.01)
 
@@ -250,6 +255,14 @@ class TestG2Cross:
             assert g2_cross_from_rates(scaled, w * scale, 2.2) == pytest.approx(
                 g2_cross_from_rates(base, w, 2.2), rel=1e-9
             )
+
+    def test_underflowing_eta_diverges(self):
+        """eta_- ~ 1e-301 squares to 0; with n_th = 0 this used to raise
+        ZeroDivisionError from 0 / 0, and g2 ~ 1 / eta_- is past 1e300."""
+        op = make_rates_op(Configuration.STOKES, eta_m=1e-300)
+        assert 0.0 < float(eta_spectrum_from_rates(op, 0.0)) < 1e-290
+        with pytest.raises(InstabilityError, match="cross-correlation diverges"):
+            g2_cross_from_rates(op, 0.0, 0.0)
 
     def test_wrong_configuration(self):
         op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.1)

@@ -36,6 +36,12 @@ class TestScalars:
         with pytest.raises(InstabilityError):
             eta_internal(1.0, Configuration.STOKES)
 
+    @pytest.mark.parametrize("c", [1e153, 1e154, 1e200, 1e308])
+    def test_eta_internal_of_huge_cooperativity(self, c):
+        """(1 + C)^2 overflows past C ~ 1.3e154, where 4C / (1 + C)^2 is 4 / C;
+        this used to raise OverflowError."""
+        assert eta_internal(c, Configuration.ANTI_STOKES) == pytest.approx(4.0 / c, rel=1e-12)
+
     def test_eta_ext(self, paper_device):
         val = offchip_efficiency(paper_device, PumpConfig(Configuration.ANTI_STOKES, 0.0)).eta_ext
         assert val == pytest.approx((60.0 / 172.0) * 0.11, rel=1e-9)

@@ -165,12 +165,12 @@ def _pulsed_ref(
     pulse: PulseSequence,
     optical_input_flux: float,
     lockin: LockInConfig,
-    pump_power: float,
+    pump: PumpConfig,
     duration: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """End-to-end pulsed optical-to-microwave conversion.
 
-    A Stokes pump of peak off-chip power `pump_power` [W] is gated by
+    A Stokes pump at the power and frequency of `pump` is gated by
     `pulse`; the intracavity pump amplitude follows its own ring-up ODE, so
     the effective coupling g_-(t) is not assumed instantaneous.  A CW
     optical tone of on-chip photon flux `optical_input_flux` [1/s] sits on
@@ -180,8 +180,7 @@ def _pulsed_ref(
 
     Returns (t, amplitude, phase).
     """
-    pump = PumpConfig(Configuration.STOKES, pump_power)
-    op = operating_point(params, pump)
+    op = operating_point(params, PumpConfig(Configuration.STOKES, pump.power_in, pump.omega_l))
     if op.cooperativity >= 1.0:
         raise InstabilityError("pulsed pump peak power is above the Stokes threshold")
 
@@ -275,8 +274,8 @@ def _pulsed_whole_array(monkeypatch, *args):
 
     monkeypatch.setattr(timedomain, "_stepper", recording_stepper)
     streamed = pulsed_downconversion(*args)
-    params, _, _, lockin, pump_power, _ = args
-    op = operating_point(params, PumpConfig(Configuration.STOKES, pump_power))
+    params, _, _, lockin, pump, _ = args
+    op = operating_point(params, PumpConfig(Configuration.STOKES, pump.power_in, pump.omega_l))
     t, b_dag = (np.concatenate(v) for v in list(zip(*blocks))[::3])
     waveform = np.real((linear_model(op).c[1][2] * b_dag).conj() * np.exp(-1j * op.omega_m * t))
     return streamed, (t, *_lockin_ref(t, waveform, lockin))
@@ -563,7 +562,7 @@ class TestStepperMatchesReference:
         # a short pulse so both edges fall inside the window
         pulse = PulseSequence(0.25e-6, 100e3, edge_time=60e-9 if edged else 0.0)
         lockin = LockInConfig(TWO_PI * 3.48e9, 30e-9)
-        args = (dev, pulse, 1e12, lockin, power, 0.45e-6)
+        args = (dev, pulse, 1e12, lockin, PumpConfig(Configuration.STOKES, power), 0.45e-6)
         t, amp, phase = pulsed_downconversion(*args)
         t_ref, amp_ref, phase_ref = _pulsed_ref(*args)
         assert np.array_equal(t, t_ref)
@@ -588,7 +587,8 @@ class TestStepperMatchesReference:
             dev, power = DeviceParams(wide, wide, dev.coupling_j, (fast_mode,), dev.g0, dev.losses), 0.05
         pulse = PulseSequence(0.25e-6, 100e3, edge_time=60e-9 if edged else 0.0)
         lockin = LockInConfig(TWO_PI * 3.48e9, 30e-9)
-        streamed, whole = _pulsed_whole_array(monkeypatch, dev, pulse, 1e12, lockin, power, 0.45e-6)
+        streamed, whole = _pulsed_whole_array(monkeypatch, dev, pulse, 1e12, lockin,
+                                               PumpConfig(Configuration.STOKES, power), 0.45e-6)
         assert streamed[0].size == 45102
         for got, ref in zip(streamed, whole):
             assert np.array_equal(got, ref)
@@ -788,7 +788,7 @@ class TestPulsed:
         lockin = LockInConfig(TWO_PI * 3.48e9, 30e-9)
         t, amp, phase = pulsed_downconversion(
             fast_dev, pulse, optical_input_flux=1e12, lockin=lockin,
-            pump_power=0.05, duration=0.6e-6,
+            pump=PumpConfig(Configuration.STOKES, 0.05), duration=0.6e-6,
         )
         report = fit_rc_step(t, amp)
         tau = report.parameters["tau_rc"]
@@ -805,7 +805,7 @@ class TestPulsed:
         duration = 0.2e-6
         t, amp, _ = pulsed_downconversion(
             dev, pulse, optical_input_flux=1e12, lockin=lockin,
-            pump_power=0.05, duration=duration,
+            pump=PumpConfig(Configuration.STOKES, 0.05), duration=duration,
         )
         f_carrier = operating_point(dev, PumpConfig(Configuration.STOKES, 0.05)).omega_m / TWO_PI
         dt = 1.0 / (24 * f_carrier)
@@ -823,7 +823,7 @@ class TestPulsed:
         lockin = LockInConfig(TWO_PI * 3.48e9, tau_rc)
         with pytest.raises(ValueError, match=rf"needs \d+ integrator steps, more than {_MAX_PULSE_STEPS}$"):
             pulsed_downconversion(dev, PulseSequence(1e-6, 100e3), optical_input_flux=1e12,
-                                  lockin=lockin, pump_power=0.05, duration=duration)
+                                  lockin=lockin, pump=PumpConfig(Configuration.STOKES, 0.05), duration=duration)
 
     def test_paper_config_peak_memory(self):
         """The paper config's pulse (116,093 steps) holds t, the waveform,
@@ -838,7 +838,7 @@ class TestPulsed:
         flux = photon_flux(watts, cfg.pump.omega_l_effective)
         tracemalloc.start()
         try:
-            t, _, _ = pulsed_downconversion(dev, pulse, flux, lockin, cfg.pump.power_in)
+            t, _, _ = pulsed_downconversion(dev, pulse, flux, lockin, cfg.pump)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -851,6 +851,6 @@ class TestPulsed:
         lockin = LockInConfig(TWO_PI * 3.48e9, 30e-9)
         t, amp, _ = pulsed_downconversion(
             dev, pulse, optical_input_flux=0.0, lockin=lockin,
-            pump_power=0.05, duration=0.3e-6,
+            pump=PumpConfig(Configuration.STOKES, 0.05), duration=0.3e-6,
         )
         assert np.max(amp) < 1e-12
