@@ -169,8 +169,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         if not np.any(sel):
             continue
         w = omega_abs[sel] - op.omega_m
-        s_ac[sel] = response.transfer_from_rates(op, "microwave", "optical", w)
-        s_cc[sel] = response.transfer_from_rates(op, "microwave", "microwave", w)
+        (_, s_ac[sel]), (_, s_cc[sel]) = response.scattering(op, w)
 
     _write_csv(
         args.out, cfg, "spectrum", args.seed,

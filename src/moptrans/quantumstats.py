@@ -2,7 +2,8 @@
 
 Operator-valued noise expressions are evaluated as stationary mean
 occupancies: linear cross terms vanish for thermal/vacuum inputs and the
-quadratic terms are weighted by ratios of |S|^2 coefficients.  The pair
+quadratic terms are weighted by ratios of |S|^2 coefficients, all four
+read from one `response.scattering` matrix per offset.  The pair
 rate integrates |S_ac|^2 over all frequencies from the Gramian of the
 linear model (`hybridize.band_integral`), with no grid; its residue closed
 form is exact at zero sideband detuning.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from .errors import InstabilityError
 from .hybridize import OperatingPoint, band_integral, linear_model, operating_point
 from .model import HBAR, K_B, TWO_PI, Configuration, DeviceParams, PumpConfig
-from .response import eta_spectrum_from_rates, transfer_from_rates
+from .response import eta_spectrum_from_rates, scattering
 
 # The paper invokes the Cauchy-Schwarz bound without defining the
 # auto-correlations; thermal marginals of two-mode squeezed vacuum have
@@ -139,13 +140,11 @@ def added_noise_from_rates(
     """Added noise referred to the conversion input at signal offset
     `omega`, for stationary thermal/vacuum inputs with mean occupancies
     n_optical_in (optical port) and the Bose occupancy of `env` at the
-    acoustic frequency (microwave port)."""
+    acoustic frequency (microwave port), from one `response.scattering`
+    matrix."""
     if n_optical_in < 0.0:
         raise ValueError("optical occupancy must be non-negative")
-    s_aa = transfer_from_rates(op, "optical", "optical", omega)
-    s_cc = transfer_from_rates(op, "microwave", "microwave", omega)
-    s_ac = transfer_from_rates(op, "microwave", "optical", omega)
-    s_ca = transfer_from_rates(op, "optical", "microwave", omega)
+    (s_aa, s_ac), (s_ca, s_cc) = scattering(op, omega)
     eta = abs(s_ac) ** 2
     if eta <= 0.0:
         raise InstabilityError(
@@ -192,7 +191,8 @@ def g2_cross_from_rates(op: OperatingPoint, omega: float, n_th: float) -> float:
     """Second-order microwave-optical cross-correlation of the SPDC output
     at signal offset `omega` with microwave bath occupancy `n_th`.
 
-    Three-term expression in the scattering coefficients:
+    Three-term expression in the entries of one `response.scattering`
+    matrix:
 
         g2 = (|S_aa|^2 + eta) / [(eta + |S_cc|^2 n)(1 + n)]
            + n / (1 + n)
@@ -206,10 +206,7 @@ def g2_cross_from_rates(op: OperatingPoint, omega: float, n_th: float) -> float:
         raise ValueError("g2_cross applies to the Stokes (SPDC) configuration")
     if n_th < 0.0:
         raise ValueError("thermal occupancy must be non-negative")
-    s_aa = transfer_from_rates(op, "optical", "optical", omega)
-    s_cc = transfer_from_rates(op, "microwave", "microwave", omega)
-    s_ac = transfer_from_rates(op, "microwave", "optical", omega)
-    s_ca = transfer_from_rates(op, "optical", "microwave", omega)
+    (s_aa, s_ac), (s_ca, s_cc) = scattering(op, omega)
     eta = abs(s_ac) ** 2
     denom_c = eta + abs(s_cc) ** 2 * n_th
     scale = eta * denom_c * (1.0 + n_th)

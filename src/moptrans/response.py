@@ -41,7 +41,8 @@ is undamped, so the product never vanishes.  Efficiency spectra come from
 this form, in blocks of _BLOCK grid points into one preallocated result:
 each temporary holds 32 KB whatever the grid length, and every operation
 is elementwise, so the result does not depend on the block size.
-`transfer_from_rates` gives the complex S parameters.
+`scattering` gives the complex S matrix, one entry of which is
+`transfer_from_rates`.
 """
 
 from __future__ import annotations
@@ -137,40 +138,42 @@ def _chi(omega, kappa):
     return 1.0 / (-1j * omega + 0.5 * kappa)
 
 
-def transfer_from_rates(op: OperatingPoint, from_port: str, to_port: str, omega):
-    """Closed-form S parameter at signal offset `omega` (scalar or array)
-    for the given port pair; see the module docstring for conventions."""
-    for p in (from_port, to_port):
-        if p not in PORTS:
-            raise ValueError(f"unknown port {p!r}")
-    check_stokes_threshold(op.configuration, op.cooperativity)
+def scattering(op: OperatingPoint, omega):
+    """Closed-form 2x2 scattering matrix ((S_aa, S_ac), (S_ca, S_cc)) at
+    signal offset `omega` (scalar or array), indexed [to][from] in PORTS
+    order; see the module docstring for the entries.
 
+    `omega` is the model's signal offset.  Under Stokes the microwave port
+    is the anomalous c_in^dag, so a physical microwave tone at +nu is
+    omega = -nu for S_ac: the RK4 acceptance test (criterion 7) and
+    `perfbench` pass -nu, while `cli.cmd_spectrum` and `_summed_eta` pass
+    +nu (ROADMAP N1)."""
+    check_stokes_threshold(op.configuration, op.cooperativity)
     omega = np.asarray(omega, dtype=float)
     chi_m = _chi(omega, op.kappa_m)
     chi_o = _chi(omega + op.sideband_detuning, op.kappa_active)
     g = op.g_active
+    root = math.sqrt(op.kappa_ex_active * op.kappa_ex_m)
     if op.configuration is Configuration.ANTI_STOKES:
         det = 1.0 + abs(g) ** 2 * chi_o * chi_m
+        g_ca = g.conjugate()
+        spectator = op.kappa_ex_minus * _chi(omega + op.sideband_detuning + op.splitting, op.kappa_minus)
     else:
         det = 1.0 - abs(g) ** 2 * chi_o * chi_m
+        g_ca = g
+        spectator = op.kappa_ex_plus * _chi(omega + op.sideband_detuning - op.splitting, op.kappa_plus)
+    s = ((1.0 - op.kappa_ex_active * chi_o / det - spectator, -1j * root * g * chi_o * chi_m / det),
+         (1j * root * g_ca * chi_o * chi_m / det, -1.0 + op.kappa_ex_m * chi_m / det))
+    return s if omega.ndim else tuple(tuple(complex(v) for v in row) for row in s)
 
-    root = math.sqrt(op.kappa_ex_active * op.kappa_ex_m)
-    if from_port == "microwave" and to_port == "optical":
-        out = -1j * root * g * chi_o * chi_m / det
-    elif from_port == "optical" and to_port == "microwave":
-        if op.configuration is Configuration.ANTI_STOKES:
-            out = 1j * root * g.conjugate() * chi_o * chi_m / det
-        else:
-            out = 1j * root * g * chi_o * chi_m / det
-    elif from_port == "microwave" and to_port == "microwave":
-        out = -1.0 + op.kappa_ex_m * chi_m / det
-    else:  # optical -> optical
-        if op.configuration is Configuration.ANTI_STOKES:
-            spectator = op.kappa_ex_minus * _chi(omega + op.sideband_detuning + op.splitting, op.kappa_minus)
-        else:
-            spectator = op.kappa_ex_plus * _chi(omega + op.sideband_detuning - op.splitting, op.kappa_plus)
-        out = 1.0 - op.kappa_ex_active * chi_o / det - spectator
-    return out if out.ndim else complex(out)
+
+def transfer_from_rates(op: OperatingPoint, from_port: str, to_port: str, omega):
+    """One entry of `scattering`: the S parameter from `from_port` to
+    `to_port` at signal offset `omega` (scalar or array)."""
+    for p in (from_port, to_port):
+        if p not in PORTS:
+            raise ValueError(f"unknown port {p!r}")
+    return scattering(op, omega)[PORTS.index(to_port)][PORTS.index(from_port)]
 
 
 def _poles(a, b, c, d):

@@ -1,7 +1,10 @@
 """Each model record has one builder in the package: an `OperatingPoint` is
 made only by `hybridize._operating_point`, and a `PumpConfig` only by
 `config.load_config`; other code takes the run's pump and varies it with
-`dataclasses.replace`.  The sources are parsed, not run."""
+`dataclasses.replace`.  The S matrix is evaluated whole: the package's
+readers unpack `response.scattering`, and the per-entry
+`transfer_from_rates` serves the oracles in the tests and `perfbench`.
+The sources are parsed, not run."""
 
 import ast
 from pathlib import Path
@@ -32,9 +35,10 @@ def _call_sites(name: str) -> list[str]:
     return sites
 
 
-@pytest.mark.parametrize("name, builder", [
-    ("OperatingPoint", "hybridize._operating_point"),
-    ("PumpConfig", "config.load_config"),
-])
-def test_one_builder(name, builder):
-    assert _call_sites(name) == [builder]
+@pytest.mark.parametrize("name, sites", [
+    ("OperatingPoint", ["hybridize._operating_point"]),
+    ("PumpConfig", ["config.load_config"]),
+    ("transfer_from_rates", []),
+], ids=lambda v: "-".join(v) or "nowhere" if isinstance(v, list) else v)
+def test_one_builder(name, sites):
+    assert _call_sites(name) == sites

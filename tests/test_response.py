@@ -214,6 +214,21 @@ class TestTransfer:
                     assert abs(cf - m) / scale < 1e-10
                     assert abs(cf - s) / scale < 1e-10
 
+    def test_scattering_is_elementwise(self, rng):
+        """`scattering` over an array holds its evaluation at each scalar
+        offset, whose entries are complex; `transfer_from_rates`, checked
+        against the graphs above, is its [to][from] entry."""
+        for cfg in (Configuration.ANTI_STOKES, Configuration.STOKES):
+            op = dataclasses.replace(make_rates_op(cfg, cooperativity=0.3), sideband_detuning=TWO_PI * 40e6)
+            omegas = rng.uniform(-4.0, 4.0, size=16) * op.kappa_m
+            matrix = response.scattering(op, omegas)
+            for i, w in enumerate(omegas.tolist()):
+                for to, row in enumerate(response.scattering(op, w)):
+                    for frm, s in enumerate(row):
+                        assert type(s) is complex
+                        assert s == pytest.approx(matrix[to][frm][i], rel=1e-14, abs=0.0)
+                        assert s == transfer_from_rates(op, response.PORTS[frm], response.PORTS[to], w)
+
     def test_stokes_instability_raises(self):
         op = make_rates_op(Configuration.STOKES, cooperativity=1.2)
         with pytest.raises(InstabilityError):
