@@ -377,7 +377,8 @@ def operating_point(
     few distinct points are memoized, so the verbs and a design study that
     ask for one point several times build it once.
 
-    The build, with s = omega_+ - omega_- the supermode splitting:
+    The build, with s = omega_+ - omega_- the supermode splitting
+    (`Supermodes.delta_omega`, the same value as `OperatingPoint.splitting`):
 
     - the bus photon flux |s_in|^2 = eta_fiber_chip P_in / (hbar omega_L),
       omega_L = pump.omega_l_effective;
@@ -418,7 +419,7 @@ def _operating_point(
     ref = params.transduction_mode
     sm = _supermodes(params.left, params.right, params.coupling_j)
     s_in = math.sqrt(photon_flux(params.losses.eta_fiber_chip * pump.power_in, pump.omega_l_effective))
-    split = sm.omega_plus - sm.omega_minus
+    split = sm.delta_omega  # the splitting of OperatingPoint.splitting, taken from W
     mode_offset = mode.omega_m - ref.omega_m
     anti_stokes = pump.configuration is Configuration.ANTI_STOKES
     if anti_stokes:

@@ -277,6 +277,21 @@ class TestOperatingPoint:
         assert op_as.kappa_ex_active == op_as.kappa_ex_plus
         assert op_s.kappa_ex_active == op_s.kappa_ex_minus
 
+    @pytest.mark.parametrize("configuration", list(Configuration))
+    @pytest.mark.parametrize("ring_hz", [10e12, 193e12, 1e16])
+    def test_doublet_position_does_not_matter(self, paper_device, configuration, ring_hz):
+        """The operating point depends on the rings' detuning, not on where
+        the doublet sits: both supermode offsets use the splitting taken from
+        W, not a difference of two absolute frequencies, which rounds to the
+        float64 resolution of omega (0.25 rad/s at 193 THz)."""
+        pump = PumpConfig(configuration, dbm_to_watts(21.0))
+        moved = dataclasses.replace(
+            paper_device,
+            left=dataclasses.replace(paper_device.left, omega=TWO_PI * ring_hz),
+            right=dataclasses.replace(paper_device.right, omega=TWO_PI * ring_hz),
+        )
+        assert operating_point(moved, pump) == operating_point(paper_device, pump)
+
     def test_sideband_resolution_flag(self, paper_device, pump_21dbm):
         op = operating_point(paper_device, pump_21dbm)
         assert op.sideband_resolution == pytest.approx(172e6 / 3.48e9, rel=1e-6)
