@@ -230,7 +230,7 @@ def cmd_pulse(cfg: RunConfig, args) -> int:
             duration=float(duration) if duration is not None else None,
         )
     except ValueError as exc:
-        raise ConfigError(f"{exc}: shorten lockin_tau_s or sim_duration_s") from exc
+        raise ConfigError(str(exc)) from exc
     dt = float(t[1])
     stride = max(1, int(lockin.tau_rc / (100.0 * dt)))
     keep = np.append(np.arange(0, t.size - 1, stride), t.size - 1)

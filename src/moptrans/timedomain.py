@@ -240,6 +240,24 @@ def _stepper(t0, dt, n, lam, pair, inputs):
         x, y0, y1 = (v[-1] for v in block)
 
 
+def _check_step(dt: float, model, extra_hz: float = 0.0, advice: str = "") -> None:
+    """Refuse, with ValueError ending in `advice`, an RK4 step `dt` coarser
+    than 1/(50 x the fastest rate) of `model`: its largest linewidth plus
+    the active mode's |d|, plus the caller's `extra_hz` [Hz].
+
+    The diagonal rates bound the coupled pair's too wherever the point is
+    below the Stokes threshold, as the pulse's always is: there |g| <
+    sqrt(kappa_o kappa_m)/2, at most half the larger linewidth, so each row
+    of the pair's matrix sums in magnitude to less than the largest
+    linewidth plus |d|, which bounds its eigenvalues; |lambda| dt stays
+    under 2 pi / 50, well inside RK4's stability region.  An anti-Stokes
+    point has no such bound on g."""
+    a = model.a
+    fastest = (max(-2.0 * a[i][i].real for i in range(3)) + abs(a[1][1].imag)) / TWO_PI + extra_hz
+    if dt > 1.0 / (50.0 * fastest):
+        raise ValueError(f"step dt={dt!r} too coarse: need dt <= {1.0 / (50.0 * fastest)!r}{advice}")
+
+
 def integrate(
     op: OperatingPoint,
     couplings,
@@ -277,13 +295,7 @@ def integrate(
     a, b = model.a, model.b
     spectator = a[0][0]  # A is block diagonal: mode 0 alone, modes 1 and 2 coupled
 
-    fastest = (max(-2.0 * a[i][i].real for i in range(3)) + abs(a[1][1].imag)) / TWO_PI + max_drive_freq
-    if opt is not None:
-        fastest += abs(spectator.imag) / TWO_PI
-    if dt > 1.0 / (50.0 * fastest):
-        raise ValueError(
-            f"step dt={dt!r} too coarse: need dt <= {1.0 / (50.0 * fastest)!r}"
-        )
+    _check_step(dt, model, max_drive_freq + (abs(spectator.imag) / TWO_PI if opt is not None else 0.0))
 
     t0, t1 = t_span
     n_steps = int(math.ceil((t1 - t0) / dt))
@@ -367,27 +379,30 @@ def pulsed_downconversion(
     `optical_input_flux` [1/s] sits on the lower supermode; the converted
     microwave output at the acoustic carrier is synthesized as a real
     waveform and demodulated by the lock-in model.  The pulse starts at 3
-    tau_rc, and the integrator takes 24 steps per acoustic carrier cycle;
-    a window of more than _MAX_PULSE_STEPS steps raises ValueError before
-    anything is allocated.
+    tau_rc, and the integrator takes 24 steps per acoustic carrier cycle.
+    A step coarser than `_check_step` allows, or a window of more than
+    _MAX_PULSE_STEPS steps, raises ValueError before anything is
+    allocated; each message ends with its advice.
 
     Returns (t, amplitude, phase).
     """
     op = operating_point(params, replace(pump, configuration=Configuration.STOKES))
     check_stokes_threshold(op.configuration, op.cooperativity)
 
+    model = linear_model(op)
     dt = 1.0 / (24 * (op.omega_m / TWO_PI))  # 24 steps per acoustic carrier cycle
+    _check_step(dt, model, advice=": 24 steps per acoustic carrier cycle are too few for the device's linewidths")
     t_start = 3.0 * lockin.tau_rc
     t_end = t_start + (duration if duration is not None else min(pulse.tau_on, 1.0e-6) + 10.0 * lockin.tau_rc)
     steps = t_end / dt  # compared as a float: an infinite or NaN window has no int
     if not steps <= _MAX_PULSE_STEPS:
         needed = math.ceil(steps) if math.isfinite(steps) else steps
-        raise ValueError(f"the pulsed window needs {needed} integrator steps, more than {_MAX_PULSE_STEPS}")
+        raise ValueError(f"the pulsed window needs {needed} integrator steps, more than {_MAX_PULSE_STEPS}: "
+                         "shorten lockin_tau_s or sim_duration_s")
     n = math.ceil(steps)
 
     # x: the pumped spectator's amplitude over its steady state, its RK4
     # stages scaling the pair's couplings (A holds them at full pump).
-    model = linear_model(op)
     a, b = model.a, model.b
     lam = a[0][0].real
     s_opt = math.sqrt(optical_input_flux)

@@ -609,8 +609,8 @@ class TestPulseCommand:
         out = tmp_path / "pulse.csv"
         assert main(["pulse", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert re.search(r"config error: .*needs \d{13} integrator steps", err)
-        assert "lockin_tau_s" in err and "sim_duration_s" in err and "Traceback" not in err
+        assert re.fullmatch(r"config error: the pulsed window needs \d{13} integrator steps, more than 8388608: "
+                            r"shorten lockin_tau_s or sim_duration_s\n", err)
         assert not out.exists()
 
     @pytest.mark.parametrize("pump_config", ["antistokes", "stokes"])
@@ -652,16 +652,18 @@ class TestPulseCommand:
         assert built == [stokes]
         assert stokes.n_pump == pytest.approx(3.39e7, rel=0.01)
 
-    def test_short_diverging_window_is_instability(self, tmp_path, capsys):
-        """A 1e12 Hz acoustic linewidth makes the 24-steps-per-cycle RK4 step
-        diverge; over a window of 168 steps, fewer than one divergence check
-        interval, this used to exit 0 with NaN rows."""
+    def test_step_too_coarse_for_the_linewidths_is_config_error(self, tmp_path, capsys):
+        """A 1e12 Hz acoustic linewidth outruns the pulse's 24 steps per
+        acoustic carrier cycle: exit 1 with the step message and its own
+        advice, before any step is taken.  RK4 used to diverge, and `pulse`
+        exited 3 with "trajectory diverged", a step failure reported as
+        physics (and exited 0 with NaN rows before that)."""
         text = PAPER_CONFIG.replace("mode1_kappa_hz = 13.0e6", "mode1_kappa_hz = 1e12")
         text = text.replace("lockin_tau_s = 30.0e-9", "lockin_tau_s = 1e-12") + "sim_duration_s = 2e-9\n"
         out = tmp_path / "pulse.csv"
-        with pytest.warns(RuntimeWarning):  # numpy's overflow inside the divergent steps
-            assert main(["pulse", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("instability: trajectory diverged at t=")
+        assert main(["pulse", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        assert re.fullmatch(r"config error: step dt=\S+ too coarse: need dt <= 2e-14: 24 steps per acoustic "
+                            r"carrier cycle are too few for the device's linewidths\n", capsys.readouterr().err)
         assert not out.exists()
 
     def test_stokes_instability_message(self, tmp_path, capsys):

@@ -422,6 +422,16 @@ class TestIntegrate:
         with pytest.raises(InstabilityError):
             integrate(op, None, drives, (0.0, 400.0 / op.kappa_m), _dt_for(op))
 
+    def test_short_window_divergence_is_caught(self):
+        """A window shorter than one _CHECK_EVERY interval is tested at its
+        last step: far above the Stokes threshold (C = 1e4) the state
+        reaches about 4e65 within 100 steps, and integrate raises there."""
+        op = make_rates_op(Configuration.STOKES, cooperativity=1e4)
+        n, dt = 100, _dt_for(op, factor=50.0)
+        assert n < _CHECK_EVERY
+        with pytest.raises(InstabilityError, match=re.escape(f"trajectory diverged at t={n * dt!r} ")):
+            integrate(op, None, {"microwave": lambda t: 1.0}, (0.0, n * dt), dt)
+
     def test_rk4_order(self):
         """Halving dt cuts the error against a dt/8 reference by ~16x."""
         op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.3)
@@ -821,9 +831,25 @@ class TestPulsed:
         any trajectory is allocated."""
         dev = make_paper_device()
         lockin = LockInConfig(TWO_PI * 3.48e9, tau_rc)
-        with pytest.raises(ValueError, match=rf"needs \d+ integrator steps, more than {_MAX_PULSE_STEPS}$"):
+        with pytest.raises(ValueError, match=rf"needs \d+ integrator steps, more than {_MAX_PULSE_STEPS}: "
+                           "shorten lockin_tau_s or sim_duration_s$"):
             pulsed_downconversion(dev, PulseSequence(1e-6, 100e3), optical_input_flux=1e12,
                                   lockin=lockin, pump=PumpConfig(Configuration.STOKES, 0.05), duration=duration)
+
+    def test_step_checked_against_the_rates(self, monkeypatch):
+        """A 1e12 Hz acoustic linewidth outruns 24 steps per carrier cycle:
+        ValueError with the step rule of `integrate` and its own advice,
+        before the stepper runs."""
+        from moptrans.model import AcousticMode
+
+        dev = make_paper_device()
+        dev = dataclasses.replace(dev, acoustic_modes=(AcousticMode(TWO_PI * 3.48e9, TWO_PI * 1e12, TWO_PI * 1e6),))
+        monkeypatch.setattr(timedomain, "_stepper", None)
+        with pytest.raises(ValueError, match=r"^step dt=\S+ too coarse: need dt <= 2e-14: 24 steps per acoustic "
+                           r"carrier cycle are too few for the device's linewidths$"):
+            pulsed_downconversion(dev, PulseSequence(1e-6, 100e3), optical_input_flux=1e12,
+                                  lockin=LockInConfig(TWO_PI * 3.48e9, 30e-9),
+                                  pump=PumpConfig(Configuration.STOKES, 0.05), duration=2e-9)
 
     def test_paper_config_peak_memory(self):
         """The paper config's pulse (116,093 steps) holds t, the waveform,
