@@ -160,8 +160,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         operating_point(device, pump, m, cfg.pump_detuning) for m in device.acoustic_modes
     ]
     mode_freqs = np.array([m.omega_m for m in device.acoustic_modes])
-    s_ac = np.empty(freq_hz.size, dtype=complex)
-    s_cc = np.empty(freq_hz.size, dtype=complex)
+    s_ac, s_cc = np.empty((2, freq_hz.size), dtype=complex)
     omega_abs = TWO_PI * freq_hz
     nearest = np.argmin(np.abs(omega_abs[:, None] - mode_freqs[None, :]), axis=1)
     for k, op in enumerate(op_by_mode):

@@ -377,8 +377,7 @@ def operating_point(
     few distinct points are memoized, so the verbs and a design study that
     ask for one point several times build it once.
 
-    The build, with s = omega_+ - omega_- the supermode splitting
-    (`Supermodes.delta_omega`, the same value as `OperatingPoint.splitting`):
+    The build, with s = `Supermodes.delta_omega` the supermode splitting:
 
     - the bus photon flux |s_in|^2 = eta_fiber_chip P_in / (hbar omega_L),
       omega_L = pump.omega_l_effective;
@@ -419,14 +418,13 @@ def _operating_point(
     ref = params.transduction_mode
     sm = _supermodes(params.left, params.right, params.coupling_j)
     s_in = math.sqrt(photon_flux(params.losses.eta_fiber_chip * pump.power_in, pump.omega_l_effective))
-    split = sm.delta_omega  # the splitting of OperatingPoint.splitting, taken from W
     mode_offset = mode.omega_m - ref.omega_m
     anti_stokes = pump.configuration is Configuration.ANTI_STOKES
     if anti_stokes:
-        delta_minus, delta_plus = pump_detuning, pump_detuning - split
+        delta_minus, delta_plus = pump_detuning, pump_detuning - sm.delta_omega
         sideband_detuning = pump_detuning + mode_offset
     else:
-        delta_minus, delta_plus = pump_detuning + split, pump_detuning
+        delta_minus, delta_plus = pump_detuning + sm.delta_omega, pump_detuning
         sideband_detuning = pump_detuning - mode_offset
     a_minus = math.sqrt(sm.kappa_ex_minus) * s_in / (-1j * delta_minus + 0.5 * sm.kappa_minus)
     a_plus = math.sqrt(sm.kappa_ex_plus) * s_in / (-1j * delta_plus + 0.5 * sm.kappa_plus)

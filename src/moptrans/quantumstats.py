@@ -2,11 +2,10 @@
 
 Operator-valued noise expressions are evaluated as stationary mean
 occupancies: linear cross terms vanish for thermal/vacuum inputs and the
-quadratic terms are weighted by ratios of |S|^2 coefficients, all four
-read from one `response.scattering` matrix per offset.  The pair
-rate integrates |S_ac|^2 over all frequencies from the Gramian of the
-linear model (`hybridize.band_integral`), with no grid; its residue closed
-form is exact at zero sideband detuning.
+quadratic terms are weighted by ratios of |S|^2 of `response.scattering`.
+The pair rate integrates |S_ac|^2 over all frequencies from the Gramian of
+the linear model (`hybridize.band_integral`), with no grid; its residue
+closed form is exact at zero sideband detuning.
 """
 
 from __future__ import annotations
@@ -140,8 +139,7 @@ def added_noise_from_rates(
     """Added noise referred to the conversion input at signal offset
     `omega`, for stationary thermal/vacuum inputs with mean occupancies
     n_optical_in (optical port) and the Bose occupancy of `env` at the
-    acoustic frequency (microwave port), from one `response.scattering`
-    matrix."""
+    acoustic frequency (microwave port), from one `scattering` matrix."""
     if n_optical_in < 0.0:
         raise ValueError("optical occupancy must be non-negative")
     (s_aa, s_ac), (s_ca, s_cc) = scattering(op, omega)
@@ -191,8 +189,7 @@ def g2_cross_from_rates(op: OperatingPoint, omega: float, n_th: float) -> float:
     """Second-order microwave-optical cross-correlation of the SPDC output
     at signal offset `omega` with microwave bath occupancy `n_th`.
 
-    Three-term expression in the entries of one `response.scattering`
-    matrix:
+    Three-term expression in the entries of one `scattering` matrix:
 
         g2 = (|S_aa|^2 + eta) / [(eta + |S_cc|^2 n)(1 + n)]
            + n / (1 + n)

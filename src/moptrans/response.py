@@ -41,8 +41,7 @@ is undamped, so the product never vanishes.  Efficiency spectra come from
 this form, in blocks of _BLOCK grid points into one preallocated result:
 each temporary holds 32 KB whatever the grid length, and every operation
 is elementwise, so the result does not depend on the block size.
-`scattering` gives the complex S matrix, one entry of which is
-`transfer_from_rates`.
+`scattering` gives the complex S matrix.
 """
 
 from __future__ import annotations
@@ -139,15 +138,12 @@ def _chi(omega, kappa):
 
 
 def scattering(op: OperatingPoint, omega):
-    """Closed-form 2x2 scattering matrix ((S_aa, S_ac), (S_ca, S_cc)) at
-    signal offset `omega` (scalar or array), indexed [to][from] in PORTS
-    order; see the module docstring for the entries.
-
-    `omega` is the model's signal offset.  Under Stokes the microwave port
-    is the anomalous c_in^dag, so a physical microwave tone at +nu is
-    omega = -nu for S_ac: the RK4 acceptance test (criterion 7) and
-    `perfbench` pass -nu, while `cli.cmd_spectrum` and `_summed_eta` pass
-    +nu (ROADMAP N1)."""
+    """Closed-form S matrix ((S_aa, S_ac), (S_ca, S_cc)), indexed [to][from]
+    in PORTS order, at the model's signal offset `omega` (scalar or array).
+    Under Stokes the microwave port is the anomalous c_in^dag, so a
+    physical microwave tone at +nu is omega = -nu for S_ac: criterion 7 and
+    `perfbench` pass -nu, `cli.cmd_spectrum` and `_summed_eta` +nu (ROADMAP
+    N1)."""
     check_stokes_threshold(op.configuration, op.cooperativity)
     omega = np.asarray(omega, dtype=float)
     chi_m = _chi(omega, op.kappa_m)

@@ -241,17 +241,13 @@ def _stepper(t0, dt, n, lam, pair, inputs):
 
 
 def _check_step(dt: float, model, extra_hz: float = 0.0, advice: str = "") -> None:
-    """Refuse, with ValueError ending in `advice`, an RK4 step `dt` coarser
-    than 1/(50 x the fastest rate) of `model`: its largest linewidth plus
-    the active mode's |d|, plus the caller's `extra_hz` [Hz].
-
-    The diagonal rates bound the coupled pair's too wherever the point is
-    below the Stokes threshold, as the pulse's always is: there |g| <
-    sqrt(kappa_o kappa_m)/2, at most half the larger linewidth, so each row
-    of the pair's matrix sums in magnitude to less than the largest
-    linewidth plus |d|, which bounds its eigenvalues; |lambda| dt stays
-    under 2 pi / 50, well inside RK4's stability region.  An anti-Stokes
-    point has no such bound on g."""
+    """Refuse, with a ValueError ending in `advice`, an RK4 step `dt` coarser
+    than 1/(50 x the fastest rate): the largest linewidth of `model` plus
+    the active mode's |d|, plus `extra_hz` [Hz].  That rate bounds the
+    coupled pair below the Stokes threshold (always so in the pulse): there
+    |g| < sqrt(kappa_o kappa_m)/2 <= kappa_max/2, so no row of the pair's
+    matrix sums in magnitude past it, and |lambda| dt < 2 pi/50, inside RK4's
+    stability region.  Anti-Stokes points have no such bound on g."""
     a = model.a
     fastest = (max(-2.0 * a[i][i].real for i in range(3)) + abs(a[1][1].imag)) / TWO_PI + extra_hz
     if dt > 1.0 / (50.0 * fastest):
@@ -283,9 +279,8 @@ def integrate(
     drives : dict with optional keys "optical" and "microwave", each a
         callable t -> complex envelope (see module docstring for frames).
     t_span : (t0, t1) integration window [s].
-    dt : step [s]; validated against 50 samples per fastest rate: the
-        largest linewidth plus |d|, plus |Im(A_ss)| whenever an optical
-        drive is present (its phase on the pair rotates at that rate).
+    dt : step [s], checked by `_check_step` with |Im(A_ss)| added whenever
+        an optical drive is present (its phase on the pair rotates at that rate).
     max_drive_freq : fastest frequency content of the drive envelopes [Hz],
         declared by the caller for step validation.
     """
@@ -379,10 +374,9 @@ def pulsed_downconversion(
     `optical_input_flux` [1/s] sits on the lower supermode; the converted
     microwave output at the acoustic carrier is synthesized as a real
     waveform and demodulated by the lock-in model.  The pulse starts at 3
-    tau_rc, and the integrator takes 24 steps per acoustic carrier cycle.
-    A step coarser than `_check_step` allows, or a window of more than
-    _MAX_PULSE_STEPS steps, raises ValueError before anything is
-    allocated; each message ends with its advice.
+    tau_rc, and the integrator takes 24 steps per acoustic carrier cycle; a
+    step `_check_step` refuses, or a window over _MAX_PULSE_STEPS steps,
+    raises ValueError with its advice before anything is allocated.
 
     Returns (t, amplitude, phase).
     """
