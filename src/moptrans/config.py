@@ -1,14 +1,17 @@
-"""Run configuration: flat key-value files with mandatory unit suffixes.
+"""Run configuration: one flat TOML table with mandatory unit suffixes.
 
-The format is a TOML-compatible subset: one `key = value` pair per line,
-`#` comments, bare numbers, booleans and double-quoted strings.  All
-frequencies are ordinary (Hz) in the file and converted to angular units on
-load; unit suffixes (_hz, _dbm, _db, _k, _s, _kg) are part of the key names
-so a file is self-documenting.  Unknown keys are rejected, and so are a
-_dbm or _db value whose linear value overflows and device values from
-which the operating point of an acoustic mode cannot be built, at the
-pump power or anywhere on the power sweep, or which give a non-finite
-cooperativity, kappa_o kappa_m or single-photon cooperativity.
+The file is read with `tomllib`; a table in it is refused.  pump_config is
+a string, grid_points and power_points are integers, and every other key,
+acoustic-mode keys included, is a float, which an integer may spell but a
+boolean may not.  All frequencies are ordinary (Hz) in the file and
+converted to angular units on load; unit suffixes (_hz, _dbm, _db, _k, _s,
+_kg) are part of the key names so a file is self-documenting.  Unknown
+keys are rejected, and so are a float that is not finite (-inf only
+switches a _dbm or _db key off), a _dbm or _db value whose linear value
+overflows and device values from which the operating point of an acoustic
+mode cannot be built, at the pump power or anywhere on the power sweep,
+or which give a non-finite cooperativity, kappa_o kappa_m or
+single-photon cooperativity.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
+import tomllib
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -32,7 +37,6 @@ from .model import (
     dbm_to_watts,
 )
 
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _MODE_RE = re.compile(r"^mode(\d+)_(freq_hz|kappa_hz|kappa_ex_hz|mass_kg)$")
 
 # key -> (type, required)
@@ -69,43 +73,20 @@ _SCHEMA: dict[str, tuple[type, bool]] = {
 
 _NON_NEGATIVE = ("temperature_k", "n_optical_in", "pulse_edge_s")
 
-
-def _parse_scalar(token: str, lineno: int):
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token in ("true", "false"):
-        return token == "true"
-    try:
-        if re.fullmatch(r"[+-]?\d+", token):
-            return int(token)
-        return float(token)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {token!r}") from None
+# the value types each schema type takes, compared exactly: a bool is an
+# int to isinstance, and no key takes one
+_TAKES = {float: (float, int), int: (int,), str: (str,)}
 
 
 def parse_flat_toml(text: str) -> dict:
-    """Parse the flat key = value subset; duplicate keys are rejected."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            raise ConfigError(f"line {lineno}: tables are not part of the flat format")
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        # strip trailing comments outside of strings
-        v = value.strip()
-        if not v.startswith('"') and "#" in v:
-            v = v.split("#", 1)[0].strip()
-        if not _KEY_RE.match(key):
-            raise ConfigError(f"line {lineno}: bad key {key!r}")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = _parse_scalar(v, lineno)
+    """Parse a TOML document that holds one flat table."""
+    try:
+        out = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"invalid TOML: {exc}") from None
+    for key, value in out.items():
+        if isinstance(value, dict):
+            raise ConfigError(f"key {key!r}: tables are not part of the flat format")
     return out
 
 
@@ -132,31 +113,29 @@ class RunConfig:
 
 
 def _validate_keys(raw: dict) -> None:
-    for key in raw:
-        if key not in _SCHEMA and not _MODE_RE.match(key):
-            raise ConfigError(f"unknown config key {key!r}")
-        value = raw[key]
-        switched_off = value == -math.inf and key.endswith(("_dbm", "_db"))  # e.g. pump off
-        if isinstance(value, float) and not (math.isfinite(value) or switched_off):
-            raise ConfigError(f"key {key!r} must be finite (-inf is allowed on _dbm/_db keys only), got {value!r}")
-    for key, (typ, required) in _SCHEMA.items():
-        if required and key not in raw:
-            raise ConfigError(f"missing required config key {key!r}")
-        if key in raw:
-            value = raw[key]
-            if typ is float and isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, typ):
-                raise ConfigError(f"key {key!r} must be of type {typ.__name__}")
-    for key in _NON_NEGATIVE:
-        if raw.get(key, 0.0) < 0.0:
-            raise ConfigError(f"key {key!r} must be non-negative, got {raw[key]!r}")
     for key, value in raw.items():
+        if key in _SCHEMA:
+            typ = _SCHEMA[key][0]
+        elif _MODE_RE.match(key):
+            typ = float
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+        if type(value) not in _TAKES[typ]:
+            raise ConfigError(f"key {key!r} must be of type {typ.__name__}")
+        switched_off = value == -math.inf and key.endswith(("_dbm", "_db"))  # e.g. pump off
+        # an integer too large for a float is not finite either
+        if typ is float and not (abs(value) <= sys.float_info.max or switched_off):
+            raise ConfigError(f"key {key!r} must be finite (-inf is allowed on _dbm/_db keys only), got {value!r}")
+        if key in _NON_NEGATIVE and value < 0.0:
+            raise ConfigError(f"key {key!r} must be non-negative, got {value!r}")
         if key.endswith(("_dbm", "_db")):
             try:
                 db_to_linear(value)
             except OverflowError:
                 raise ConfigError(f"key {key!r} = {value!r} overflows as a linear power ratio") from None
+    for key, (_, required) in _SCHEMA.items():
+        if required and key not in raw:
+            raise ConfigError(f"missing required config key {key!r}")
 
 
 def _acoustic_modes(raw: dict) -> tuple[AcousticMode, ...]:
@@ -223,7 +202,7 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid device parameters: {exc}") from exc
 
-    cfg_name = str(raw["pump_config"]).lower()
+    cfg_name = raw["pump_config"].lower()
     try:
         configuration = Configuration(cfg_name)
     except ValueError:

@@ -174,6 +174,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_flat_toml("[device]\na_hz = 1\n")
 
+    def test_comment_after_quoted_value(self, tmp_path):
+        """A comment after a quoted value used to fail with `cannot parse value`."""
+        cfg = load_config(write_config(tmp_path, self.with_line('pump_config = "stokes"  # blue side')))
+        assert cfg.get("pump_config") == "stokes" and cfg.pump.configuration is Configuration.STOKES
+
+    def test_underscored_integer_is_int(self, tmp_path):
+        """`1_000` used to be read as a float and refused for an int key."""
+        cfg = load_config(write_config(tmp_path, self.with_line("grid_points = 1_000")))
+        assert cfg.get("grid_points") == 1000 and type(cfg.get("grid_points")) is int
+
+    @pytest.mark.parametrize("line, typ", [("g0_hz = true", "float"), ('mode1_freq_hz = "3.165e9"', "float"),
+                                           ("grid_points = true", "int")],
+                             ids=["bool_float_key", "string_mode_key", "bool_int_key"])
+    def test_wrong_type_exits_1(self, tmp_path, capsys, line, typ):
+        """g0_hz = true used to run as g0 = 1 Hz and a string mode key as the
+        number it spells, both with exit 0; a bool is no int either."""
+        key = line.split(" = ")[0]
+        cfg = write_config(tmp_path, self.with_line(line))
+        out = tmp_path / "budget.json"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: key {key!r} must be of type {typ}\n"
+        assert not out.exists()
+
     def test_load_paper_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path, PAPER_CONFIG))
         assert cfg.device.left.kappa == pytest.approx(TWO_PI * 190e6, rel=1e-12)
@@ -211,8 +234,11 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, broken))
 
     @pytest.mark.parametrize("line", ["g0_hz = nan", "coupling_j_hz = inf", "mode1_freq_hz = -inf",
-                                      "probes_db = inf", "pump_power_dbm = nan"])
+                                      "probes_db = inf", "pump_power_dbm = nan",
+                                      pytest.param("g0_hz = 1" + "0" * 309, id="g0_hz = 10**309")])
     def test_non_finite_values_rejected(self, tmp_path, line):
+        """An integer beyond the float range is not finite either; it used
+        to end in a raw OverflowError traceback."""
         key = line.split(" = ")[0]
         text = "\n".join(line if l.startswith(key + " =") else l for l in PAPER_CONFIG.splitlines())
         with pytest.raises(ConfigError, match=key):
