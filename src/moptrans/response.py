@@ -62,10 +62,10 @@ _BLOCK = 4096  # grid points per block of an efficiency spectrum
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered frequency grid with one or more value channels.
+    """Ordered frequency grid with one labeled real channel.
 
     omega is the offset grid in rad/s (strictly ascending); values has
-    shape (n,) for a single channel or (k, n) for k labeled channels.
+    shape (n,) and labels holds the channel's one label.
     """
 
     omega: np.ndarray
@@ -74,7 +74,7 @@ class Spectrum:
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values)
+        values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
         if omega.ndim != 1 or omega.size < 2:
@@ -83,18 +83,15 @@ class Spectrum:
             raise ValueError("frequency grid must be finite")
         if not np.all(omega[1:] > omega[:-1]):
             raise ValueError("frequency grid must be strictly ascending")
-        if not np.all(np.isfinite(values.view(float) if np.iscomplexobj(values) else values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("spectrum values must be finite")
-        n_channels = 1 if values.ndim == 1 else values.shape[0]
-        if values.shape[-1] != omega.size or len(self.labels) != n_channels:
+        if values.shape != omega.shape or len(self.labels) != 1:
             raise ValueError("values/labels shape mismatch")
 
     def channel(self, label: str) -> np.ndarray:
-        if self.values.ndim == 1:
-            if label != self.labels[0]:
-                raise KeyError(label)
-            return self.values
-        return self.values[self.labels.index(label)]
+        if label != self.labels[0]:
+            raise KeyError(label)
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -319,9 +316,7 @@ def fwhm(spectrum: Spectrum) -> float:
     Requires the global maximum strictly inside the grid and a resolution
     of at least 8 grid steps across the extracted width.
     """
-    y = np.asarray(spectrum.values, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("fwhm needs a single-channel real spectrum")
+    y = spectrum.values
     x = spectrum.omega
     i_max = int(np.argmax(y))
     y_max = y[i_max]
@@ -355,17 +350,10 @@ class CouplingOptimum:
 
     r_opt: float
     eta_peak: float
-    r_grid: np.ndarray
-    eta_grid: np.ndarray
 
 
 def optimal_coupling(f_prefactor: float) -> CouplingOptimum:
-    """Analytic optimum of eta(R) = F R^2 / (1+R)^4 plus the curve itself
-    on a 201-point logarithmic grid R in [0.01, 100] for plotting."""
+    """Analytic optimum of eta(R) = F R^2 / (1+R)^4."""
     if f_prefactor <= 0.0:
         raise ValueError("prefactor F must be positive")
-    r = np.logspace(-2.0, 2.0, 201)
-    eta = f_prefactor * r ** 2 / (1.0 + r) ** 4
-    return CouplingOptimum(
-        r_opt=1.0, eta_peak=f_prefactor / 16.0, r_grid=r, eta_grid=eta
-    )
+    return CouplingOptimum(r_opt=1.0, eta_peak=f_prefactor / 16.0)
