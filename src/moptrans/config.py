@@ -1,21 +1,20 @@
 """Run configuration: one flat TOML table with mandatory unit suffixes.
 
-The file is read with `tomllib`; a table in it is refused.  pump_config is
-a string, grid_points and power_points are integers, and every other key,
-acoustic-mode keys included, is a float, which an integer may spell but a
-boolean may not.  All frequencies are ordinary (Hz) in the file and
-converted to angular units on load; unit suffixes (_hz, _dbm, _db, _k, _s,
-_kg) are part of the key names so a file is self-documenting.  Unknown
-keys are rejected, and so are a float that is not finite (-inf only
-switches a _dbm or _db key off), a _dbm or _db value whose linear value
-overflows and device values from which the operating point of an acoustic
-mode cannot be built, at the pump power or anywhere on the power sweep,
-or which give a non-finite cooperativity, kappa_o kappa_m or
-single-photon cooperativity.
+The file is read with `tomllib`, and a table in it is refused.  Every key
+has one type: pump_config a string, grid_points and power_points integers,
+every other key a float, which an integer may spell but a boolean may not.
+Frequencies are in Hz in the file and angular on load; unit suffixes (_hz,
+_dbm, _db, _k, _s, _kg) are part of the key names.  Unknown keys are
+rejected, and so are a float that is not finite (-inf only switches a _dbm
+or _db key off), a _dbm or _db value whose linear value overflows and
+device values from which the operating point of an acoustic mode cannot
+be built, at the pump power or anywhere on the power sweep, or which give
+a non-finite cooperativity, kappa_o kappa_m or single-photon cooperativity.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -73,15 +72,17 @@ _SCHEMA: dict[str, tuple[type, bool]] = {
 
 _NON_NEGATIVE = ("temperature_k", "n_optical_in", "pulse_edge_s")
 
-# the value types each schema type takes, compared exactly: a bool is an
-# int to isinstance, and no key takes one
+# the value types each schema type takes, compared exactly (a bool is an int)
 _TAKES = {float: (float, int), int: (int,), str: (str,)}
+
+# one parse per text in a process that loads a config many times (cli.main in a loop)
+_toml_loads = functools.lru_cache(maxsize=8)(tomllib.loads)
 
 
 def parse_flat_toml(text: str) -> dict:
     """Parse a TOML document that holds one flat table."""
     try:
-        out = tomllib.loads(text)
+        out = dict(_toml_loads(text))
     except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"invalid TOML: {exc}") from None
     for key, value in out.items():

@@ -174,6 +174,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_flat_toml("[device]\na_hz = 1\n")
 
+    def test_parsed_tables_are_not_shared(self):
+        """A text is parsed once per process; each caller gets its own table."""
+        first = parse_flat_toml("a_hz = 1.0\n")
+        first["a_hz"] = 2.0
+        assert parse_flat_toml("a_hz = 1.0\n") == {"a_hz": 1.0}
+
     def test_comment_after_quoted_value(self, tmp_path):
         """A comment after a quoted value used to fail with `cannot parse value`."""
         cfg = load_config(write_config(tmp_path, self.with_line('pump_config = "stokes"  # blue side')))
