@@ -74,7 +74,7 @@ class Spectrum:
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values).astype(float, casting="safe", copy=False)  # complex raises TypeError
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
         if omega.ndim != 1 or omega.size < 2:

@@ -464,7 +464,7 @@ class TestSpectrumType:
 
     def test_channels(self):
         """A spectrum holds one real channel: 2-D values are refused, with
-        or without a label per row."""
+        or without a label per row, and so are complex values."""
         s = Spectrum(np.array([0.0, 1.0]), np.array([1.0, 2.0]), ("a",))
         assert s.channel("a")[1] == 2.0
         with pytest.raises(KeyError):
@@ -472,3 +472,5 @@ class TestSpectrumType:
         for labels in [("a",), ("a", "b")]:
             with pytest.raises(ValueError, match="shape mismatch"):
                 Spectrum(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), labels)
+        with pytest.raises(TypeError):
+            Spectrum(np.array([0.0, 1.0]), np.array([1.0, 2.0j]), ("a",))
