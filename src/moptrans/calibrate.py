@@ -1,27 +1,29 @@
 """Nonlinear least-squares recovery of device parameters from data.
 
 One backend serves every fit, one fit function per CLI `fit` kind
-(doublet, s11, power, step).  Every nonlinear fit passes the analytic
-Jacobian of its model to `_solve`, a bounded Levenberg-Marquardt in numpy:
-it solves (J^T J + mu D^2) dx = -J^T r on the free parameters, with
-Marquardt's scaling (D^2 the running maximum of the squared column norms
-of J; More, "The Levenberg-Marquardt algorithm: implementation and
-theory", LNM 630, 1978) and Nielsen's damping update (Madsen, Nielsen &
-Tingleff, "Methods for Non-Linear Least Squares Problems", 2004).  A
-parameter at a bound that the gradient pushes against is held fixed, the
-trial point is clipped into the box, and a trial with a non-finite cost
-is a rejected step.  The fit has converged when an accepted step changes
-the cost by less than 1e-10 relative with gain ratio > 0.25; when the
-gradient, each entry times the distance to the bound that -gradient points
-at, is below 1e-8; or when no step changes the cost measurably (predicted and
-actual change below 1e-10 relative), as at a kink of the RC step's cost.
-At 500 residual evaluations per parameter the backend raises
-ConvergenceError instead, so every report it returns has converged.
-Covariances come from the Gauss-Newton approximation sigma^2 (J^T J)^-1
-with sigma^2 the reduced residual variance.  When J^T J is singular there
-is no such estimate: the report gives those variances as None (JSON
-null), never NaN, and carries a 'singular-covariance' flag, and its
-condition_number (of J with unit-norm columns, at the solution) is None.
+(doublet, s11, power, step).  Every nonlinear fit passes one callable,
+x -> (residuals, analytic Jacobian), to `_solve`, a bounded
+Levenberg-Marquardt in numpy that calls it once per trial point and keeps
+the Jacobian of an accepted trial.  It solves (J^T J + mu D^2) dx = -J^T r
+on the free parameters, with Marquardt's scaling (D^2 the running maximum
+of the squared column norms of J; More, "The Levenberg-Marquardt
+algorithm: implementation and theory", LNM 630, 1978) and Nielsen's
+damping update (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least
+Squares Problems", 2004).  A parameter at a bound that the gradient pushes
+against is held fixed, the trial point is clipped into the box, and a
+trial with a non-finite cost is a rejected step.  The fit has converged
+when an accepted step changes the cost by less than 1e-10 relative with
+gain ratio > 0.25; when the gradient, each entry times the distance to the
+bound that -gradient points at, is below 1e-8; or when no step changes the
+cost measurably (predicted and actual change below 1e-10 relative), as at
+a kink of the RC step's cost.  At 500 model evaluations per parameter the
+backend raises ConvergenceError instead, so every report it returns has
+converged.  Covariances come from the Gauss-Newton approximation sigma^2
+(J^T J)^-1 with sigma^2 the reduced residual variance.  When J^T J is
+singular there is no such estimate: the report gives those variances as
+None (JSON null), never NaN, and carries a 'singular-covariance' flag, and
+its condition_number (of J with unit-norm columns, at the solution) is
+None.
 
 The efficiency-vs-power fit is the closed-form exception: its model is
 linear in the one parameter, so it is solved directly, with the same
@@ -86,14 +88,14 @@ def _report(units: dict, values, variances, residual_norm, nfev, condition=math.
                      condition_number=float(condition) if math.isfinite(condition) and not missing else None)
 
 
-def _solve(residual_fn, jac, x0, lower, upper, what: str):
-    """Bounded Levenberg-Marquardt on the free parameters: returns x, the
-    residuals and the Jacobian there, and the residual evaluation count."""
+def _solve(model, x0, lower, upper, what: str):
+    """Bounded Levenberg-Marquardt on `model(x) -> (residuals, Jacobian)`:
+    returns x, the residuals and Jacobian there, and the evaluation count."""
     n = len(x0)
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = residual_fn(x)
-        cost, nfev, jx = 0.5 * float(r @ r), 1, jac(x)
+        r, jx = model(x)
+        cost, nfev = 0.5 * float(r @ r), 1
         if not math.isfinite(cost):
             raise ValueError(f"{what}: residuals are not finite at the initial guess")
         d2, mu, nu, small_change = np.zeros(n), 1e-3, 2.0, False
@@ -115,7 +117,7 @@ def _solve(residual_fn, jac, x0, lower, upper, what: str):
                 trial = np.clip(x + step, lower, upper)
                 step = trial - x
                 predicted = -(g @ step + 0.5 * step @ a @ step)
-                r_trial = residual_fn(trial)
+                r_trial, j_trial = model(trial)
                 nfev += 1
                 cost_trial = 0.5 * float(r_trial @ r_trial)
                 rho = (cost - cost_trial) / predicted if predicted > 0.0 and math.isfinite(cost_trial) else -1.0
@@ -125,15 +127,15 @@ def _solve(residual_fn, jac, x0, lower, upper, what: str):
                     return x, r, jx, nfev  # no step changes the cost measurably
                 mu, nu = mu * nu, 2.0 * nu
             small_change = cost - cost_trial < _FTOL * cost and rho > 0.25
-            x, r, cost, jx = trial, r_trial, cost_trial, jac(trial)
+            x, r, cost, jx = trial, r_trial, cost_trial, j_trial
             mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0  # Nielsen's update
 
 
-def _run_fit(residual_fn, jac, x0, bounds, what: str):
-    """Shared backend; `jac` is the callable Jacobian of `residual_fn`.
+def _run_fit(model, x0, bounds, what: str):
+    """Shared backend; `model(x)` returns the residuals and their Jacobian.
     Returns (values, variances, residual norm, nfev, condition number) and
     raises ConvergenceError('<what> did not converge')."""
-    x, r, jx, nfev = _solve(residual_fn, jac, x0, *bounds, what)
+    x, r, jx, nfev = _solve(model, x0, *bounds, what)
     m, n = jx.shape
     norms = np.linalg.norm(jx, axis=0)
     singular = np.linalg.svd(jx / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
@@ -295,12 +297,11 @@ def _fit_doublet_single(omega, trans) -> FitReport:
     lower = np.array([1e-6 * kappa0, 1e-6 * kappa0, 1e-8 * kappa0, 0.0, offset[0]])
     upper = np.array([100 * kappa0, 100 * kappa0, 50 * kappa0, 10 * (offset[-1] - offset[0]), offset[-1]])
 
-    def sweep(x):  # (kappa_plus, kappa_minus, kappa_ex, splitting >= 0, omega_center - center0)
-        return _doublet_sweep(offset, np.zeros(1), (*x[:3], 0.0, x[3], 0.0, x[4]))
+    def model(x):  # (kappa_plus, kappa_minus, kappa_ex, splitting >= 0, omega_center - center0)
+        fitted, jac = _doublet_sweep(offset, np.zeros(1), (*x[:3], 0.0, x[3], 0.0, x[4]))
+        return fitted - trans, jac[:, [0, 1, 2, 4, 6]]
 
-    x, variances, *stats = _run_fit(lambda x: sweep(x)[0] - trans,
-                                    lambda x: sweep(x)[1][:, [0, 1, 2, 4, 6]],
-                                    x0, (lower, upper), "doublet fit")
+    x, variances, *stats = _run_fit(model, x0, (lower, upper), "doublet fit")
     x[4] += center0
     units = dict.fromkeys(("kappa_plus", "kappa_minus", "kappa_ex", "splitting", "omega_center"), "rad/s")
     return _report(units, x, variances, *stats, flags)
@@ -340,11 +341,11 @@ def _fit_doublet_sweep(omega, stack, bias) -> FitReport:
     upper = np.array([100 * kappa0, 100 * kappa0, 50 * kappa0, 10 * span,
                       10 * span, 10 * span / bias_scale, offset[-1]])
 
-    data = stack.ravel()
-    x, variances, *stats = _run_fit(
-        lambda theta: _doublet_sweep(offset, bias, theta)[0] - data,
-        lambda theta: _doublet_sweep(offset, bias, theta)[1],
-        x0, (lower, upper), "doublet sweep fit")
+    def model(theta):
+        fitted, jac = _doublet_sweep(offset, bias, theta)
+        return fitted - stack.ravel(), jac
+
+    x, variances, *stats = _run_fit(model, x0, (lower, upper), "doublet sweep fit")
     x[6] += center0
     x, variances = _canonical_ring_labels(x, variances)
     names = ("kappa_l", "kappa_r", "kappa_ex", "J", "delta", "delta_slope", "omega_center")
@@ -415,12 +416,11 @@ def fit_s11(omega, s11) -> FitReport:
     lower = np.array([omega[0], 1e-6 * kappa0, 0.0])
     upper = np.array([omega[-1], 1e3 * kappa0, 1e3 * kappa0])
 
-    def residuals(theta):
+    def model(theta):
         diff = s11_model(omega, *theta) - s11
-        return np.concatenate([diff.real, diff.imag])
+        return np.concatenate([diff.real, diff.imag]), _s11_jac(omega, *theta)
 
-    x, variances, *stats = _run_fit(residuals, lambda theta: _s11_jac(omega, *theta),
-                                    x0, (lower, upper), "S11 fit")
+    x, variances, *stats = _run_fit(model, x0, (lower, upper), "S11 fit")
     omega_m, kappa_m, kappa_ex_m = map(float, x)
     var_om, var_km, var_kexm = map(float, variances)
     q_m = omega_m / kappa_m
@@ -565,8 +565,7 @@ def fit_rc_step(t, envelope) -> FitReport:
     lower = np.array([0.0, 1e-6 * tau0, float(t[0]) - span])
     upper = np.array([10.0 * plateau, 1e3 * tau0, float(t[-1])])
 
-    x, variances, *stats = _run_fit(lambda theta: rc_step_model(t, *theta) - env,
-                                    lambda theta: _rc_step_jac(t, *theta),
+    x, variances, *stats = _run_fit(lambda theta: (rc_step_model(t, *theta) - env, _rc_step_jac(t, *theta)),
                                     x0, (lower, upper), "RC step fit")
     units = {"amplitude": "signal", "tau_rc": "s", "t0": "s"}
     return _report(units, x, variances, *stats)

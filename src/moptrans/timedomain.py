@@ -243,13 +243,16 @@ def _stepper(t0, dt, n, lam, pair, inputs):
 def _check_step(dt: float, model, extra_hz: float = 0.0, advice: str = "") -> None:
     """Refuse, with a ValueError ending in `advice`, an RK4 step `dt` coarser
     than 1/(50 x the fastest rate): the largest linewidth of `model` plus
-    the active mode's |d|, plus `extra_hz` [Hz].  That rate bounds the
-    coupled pair below the Stokes threshold (always so in the pulse): there
-    |g| < sqrt(kappa_o kappa_m)/2 <= kappa_max/2, so no row of the pair's
-    matrix sums in magnitude past it, and |lambda| dt < 2 pi/50, inside RK4's
-    stability region.  Anti-Stokes points have no such bound on g."""
+    the active mode's |d|, plus |g| under anti-Stokes pumping, plus
+    `extra_hz` [Hz].  No row of the pair's matrix then sums in magnitude
+    past that rate, so |lambda| dt < 2 pi/50, inside RK4's stability region.
+    Below the Stokes threshold (always so in the pulse) |g| < sqrt(kappa_o
+    kappa_m)/2 <= kappa_max/2 is inside the linewidth term already; an
+    anti-Stokes point has no threshold, so nothing bounds |g| but its own
+    term."""
     a = model.a
-    fastest = (max(-2.0 * a[i][i].real for i in range(3)) + abs(a[1][1].imag)) / TWO_PI + extra_hz
+    coupling = abs(a[1][2]) if model.sigma[2] > 0 else 0.0
+    fastest = (max(-2.0 * a[i][i].real for i in range(3)) + abs(a[1][1].imag) + coupling) / TWO_PI + extra_hz
     if dt > 1.0 / (50.0 * fastest):
         raise ValueError(f"step dt={dt!r} too coarse: need dt <= {1.0 / (50.0 * fastest)!r}{advice}")
 

@@ -416,15 +416,17 @@ class TestBackend:
             report.converged = False
 
     @staticmethod
-    def scipy_solve(residual_fn, jac, x0, lower, upper, what):
+    def scipy_solve(model, x0, lower, upper, what):
         """The reference solver: scipy's trust-region reflective
-        least_squares with the backend's tolerances and evaluation cap."""
+        least_squares with the backend's tolerances and evaluation cap, the
+        model's two halves passed as its fun and jac."""
         from scipy.optimize import least_squares
 
         with warnings.catch_warnings():
             # its trust-region subproblem can overflow on step data
             warnings.simplefilter("ignore", RuntimeWarning)
-            result = least_squares(residual_fn, x0, jac=jac, bounds=(lower, upper), method="trf",
+            result = least_squares(lambda x: model(x)[0], x0, jac=lambda x: model(x)[1],
+                                   bounds=(lower, upper), method="trf",
                                    ftol=calibrate._FTOL, gtol=calibrate._GTOL, xtol=None,
                                    max_nfev=calibrate._MAX_NFEV * len(x0))
         assert result.status > 0, what
@@ -483,7 +485,7 @@ class TestBackend:
         """exp(x) = e from x = -6: the first Gauss-Newton step goes to about
         x = 1084, where exp overflows.  That trial is rejected without a
         warning, and the damping brings the fit to x = 1."""
-        x, r, jx, nfev = calibrate._solve(lambda x: np.exp(x) - np.e, lambda x: np.diag(np.exp(x)),
+        x, r, jx, nfev = calibrate._solve(lambda x: (np.exp(x) - np.e, np.diag(np.exp(x))),
                                           np.array([-6.0]), np.array([-100.0]), np.array([1e30]), "exp fit")
         assert x[0] == pytest.approx(1.0, abs=1e-12) and nfev < 100
 
@@ -506,11 +508,43 @@ class TestBackend:
         for key in ("kappa_l", "kappa_ex", "delta"):
             assert report.parameters[key] == pytest.approx(t[key], rel=0.02), key
 
+    def test_one_model_evaluation_per_iteration(self, rng, monkeypatch):
+        """The backend calls its model once per trial point, so each doublet
+        fit runs `_doublet_sweep` exactly `iterations` times: residuals and
+        Jacobian come from the same call."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _doublet_sweep(*args)
+
+        monkeypatch.setattr(calibrate, "_doublet_sweep", counted)
+        omega, trans = synth_doublet(noise=0.02, rng=rng, n=300)
+        omega_sweep, stack = synth_doublet_sweep(noise=0.02, rng=rng, n=300)
+        for fit in (lambda: fit_doublet(omega, trans),
+                    lambda: fit_doublet(omega_sweep, stack, bias_axis=SWEEP_BIAS)):
+            calls.clear()
+            report = fit()
+            assert len(calls) == report.iterations
+
     def test_evaluation_cap_raises(self, rng, monkeypatch):
         monkeypatch.setattr(calibrate, "_MAX_NFEV", 1)
         noisy = C10_S11 + 0.02 * (rng.normal(size=C10_GRID.size) + 1j * rng.normal(size=C10_GRID.size))
         with pytest.raises(ConvergenceError, match="S11 fit did not converge"):
             fit_s11(C10_GRID, noisy)
+
+
+class TestCanonicalRingLabels:
+    def test_swap_when_ring_r_is_broader(self):
+        """kappa_l < kappa_r is reported on the other branch of the ring
+        relabeling symmetry: kappa_l and kappa_r swap with their variances,
+        delta and delta_slope change sign, and the rest is unchanged."""
+        x = np.array([1.0, 2.0, 0.5, 7.0, 3.0, -4.0, 9.0])
+        variances = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+        x_out, var_out = calibrate._canonical_ring_labels(x, variances)
+        np.testing.assert_array_equal(x_out, [2.0, 1.0, 0.5, 7.0, -3.0, 4.0, 9.0])
+        np.testing.assert_array_equal(var_out, [0.2, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7])
+        np.testing.assert_array_equal(x, [1.0, 2.0, 0.5, 7.0, 3.0, -4.0, 9.0])  # inputs are not modified
 
 
 class TestLocalMinima:

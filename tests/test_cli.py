@@ -920,6 +920,56 @@ class TestFitCommand:
         assert "--config" in capsys.readouterr().err
 
 
+class TestExitCodeContract:
+    """Each refusal through in-process `cli.main`: its exit code, its one
+    stderr line, and no output file."""
+
+    @staticmethod
+    def run(capsys, tmp_path, argv):
+        """(exit code, stderr) of `argv` with an --out file that must not
+        be written."""
+        out = tmp_path / "out.txt"
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert not out.exists()
+        return code, captured.err
+
+    def test_flat_envelope_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "step.csv"
+        t = np.linspace(0.0, 0.5e-6, 400)
+        np.savetxt(data, np.column_stack([t, np.full(t.size, 0.5)]), delimiter=",", header="t_s,amp", comments="")
+        assert self.run(capsys, tmp_path, ["fit", "step", "--data", str(data)]) == (
+            2, "convergence error: no rising edge detected in the envelope\n")
+
+    def test_evaluation_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(calibrate, "_MAX_NFEV", 1)
+        data = write_fit_data(tmp_path, "s11")
+        assert self.run(capsys, tmp_path, ["fit", "s11", "--data", str(data)]) == (
+            2, "convergence error: S11 fit did not converge\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("freq_hz,re\n3.48e9,-1.0\n", "needs 3 named columns"),
+        ("# moptrans\nfreq_hz,re,im\n", "has no data rows"),
+        ("freq_hz,re,im\n3.48e9,-1.0,0.0\n3.49e9,nan,0.0\n", "contains non-numeric entries"),
+    ], ids=["too-few-columns", "no-rows", "nan-entry"])
+    def test_bad_data_file_exits_1(self, tmp_path, capsys, text, message):
+        data = tmp_path / "s11.csv"
+        data.write_text(text)
+        assert self.run(capsys, tmp_path, ["fit", "s11", "--data", str(data)]) == (
+            1, f"config error: data file {str(data)!r} {message}\n")
+
+    @pytest.mark.parametrize("drop, verb, message", [
+        (r"grid_\w+", "spectrum",
+         "config is missing required keys for this command: ['grid_start_hz', 'grid_stop_hz', 'grid_points']"),
+        (r"mode1_\w+", "budget", "config defines no acoustic modes (mode1_freq_hz, ...)"),
+        (r"mode1_kappa_ex_hz", "budget", "acoustic mode 1 is missing 'mode1_kappa_ex_hz'"),
+    ], ids=["no-grid", "no-modes", "no-kappa-ex"])
+    def test_incomplete_config_exits_1(self, tmp_path, capsys, drop, verb, message):
+        text = re.sub(rf"^{drop} = .*\n", "", PAPER_CONFIG, flags=re.M)
+        cfg = write_config(tmp_path, text)
+        assert self.run(capsys, tmp_path, [verb, "--config", str(cfg)]) == (1, f"config error: {message}\n")
+
+
 class TestBudgetCommand:
     def test_paper_numbers(self, tmp_path):
         cfg = write_config(tmp_path, PAPER_CONFIG)

@@ -432,6 +432,23 @@ class TestIntegrate:
         with pytest.raises(InstabilityError, match=re.escape(f"trajectory diverged at t={n * dt!r} ")):
             integrate(op, None, {"microwave": lambda t: 1.0}, (0.0, n * dt), dt)
 
+    def test_anti_stokes_coupling_bounds_the_step(self):
+        """Anti-Stokes pumping has no threshold, so |g| is bounded only by
+        the step check: at C = 1e5 (|g|/2 pi = 75 GHz) a step inside
+        1/(50 kappa_max/2 pi) is refused before any step is taken, where
+        RK4 would diverge and the divergence be blamed on a threshold."""
+        op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=1e5)
+        dt = 0.99 / (50.0 * max(op.kappa_minus, op.kappa_plus, op.kappa_m) / TWO_PI)
+        calls = []
+
+        def drive(t):
+            calls.append(t)
+            return 1.0
+
+        with pytest.raises(ValueError, match=rf"^step dt={re.escape(repr(dt))} too coarse: "):
+            integrate(op, None, {"microwave": drive}, (0.0, 400.0 / op.kappa_m), dt)
+        assert not calls
+
     def test_rk4_order(self):
         """Halving dt cuts the error against a dt/8 reference by ~16x."""
         op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.3)
