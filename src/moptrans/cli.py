@@ -155,7 +155,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     losses = device.losses
     eta_off = losses.eta_probes * losses.eta_fiber_chip * eta
 
-    # S parameters from the mode nearest to each grid point
+    # S parameters from the mode nearest to each grid point, in blocks of
+    # response._BLOCK points so that the S matrix's temporaries stay small
     op_by_mode = [
         operating_point(device, pump, m, cfg.pump_detuning) for m in device.acoustic_modes
     ]
@@ -163,12 +164,13 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     s_ac, s_cc = np.empty((2, freq_hz.size), dtype=complex)
     omega_abs = TWO_PI * freq_hz
     nearest = np.argmin(np.abs(omega_abs[:, None] - mode_freqs[None, :]), axis=1)
-    for k, op in enumerate(op_by_mode):
-        sel = nearest == k
-        if not np.any(sel):
-            continue
-        w = omega_abs[sel] - op.omega_m
-        (_, s_ac[sel]), (_, s_cc[sel]) = response.scattering(op, w)
+    for i in range(0, freq_hz.size, response._BLOCK):
+        block = slice(i, i + response._BLOCK)
+        for k, op in enumerate(op_by_mode):
+            sel = nearest[block] == k
+            if np.any(sel):
+                w = omega_abs[block][sel] - op.omega_m
+                (_, s_ac[block][sel]), (_, s_cc[block][sel]) = response.scattering(op, w)
 
     _write_csv(
         args.out, cfg, "spectrum", args.seed,

@@ -11,11 +11,11 @@ Stepping: the equations are linear, so one classical RK4 step is the
 affine map y_{k+1} = M_k y_k + u_k, whose coefficients come from the
 coupling and drive samples alone.  One stepper builds them in numpy for
 blocks of _BLOCK steps, carries the state across blocks and yields each
-block as it is made: the decoupled scalar mode (the spectator supermode,
-or the pump ring-up of the pulsed path) runs as a first-order recurrence
-with a constant factor (`_recur`), and the coupled pair as an affine scan
-of its 2x2 complex maps (`_scan_pair`): doubling passes inside chunks of
-_PAIR_CHUNK steps, then a serial carry across the chunks.  Both sum in
+block as it is made.  A map that is the same at every step runs as a
+first-order recurrence: `_recur` for the decoupled scalar mode (the
+spectator, or the pump ring-up of the pulse), `_recur_matrix` for the
+coupled pair under `integrate`.  Under the ring-up the pair's M_k changes
+per step, and it runs as an affine scan (`_scan_pair`).  Each sums in
 another order than a per-step loop, so they match it to rounding only.
 `integrate` collects the blocks into a `Trajectory`; the pulse turns each
 into its stretch of the microwave waveform and the lock-in runs blockwise,
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,7 +47,7 @@ from .model import TWO_PI, Configuration, DeviceParams, PumpConfig, check_stokes
 _OVERFLOW = 1e12
 _CHECK_EVERY = 256
 _BLOCK = 16 * _CHECK_EVERY  # steps per block: bounds the temporaries
-_CHUNK = 64  # steps per chunk of `_recur`
+_CHUNK = 64  # steps per chunk of `_recur` and `_recur_matrix`
 _PAIR_CHUNK = 32  # steps per chunk of `_scan_pair`
 _MAX_PULSE_STEPS = 2 ** 23  # longest pulsed window: about 270 MB of time, waveform and lock-in arrays
 
@@ -132,6 +133,27 @@ def _recur(m, u, x=0.0):
     return chunks.ravel()[:n]
 
 
+def _recur_matrix(m):
+    """`_recur` for a constant d x d map m: scan(u, y, n) gives the states
+    y_k = m y_{k-1} + u_k, k < n, from y_{-1} = y as d rows, u holding d
+    scalars or arrays over the steps; the tables are built once, here."""
+    d = len(m)
+    p = np.array(list(accumulate([m] * _CHUNK, np.matmul, initial=np.eye(d))))
+    k = abs(np.arange(_CHUNK) - np.arange(_CHUNK)[:, None])
+    # upper[(j, q), (i, r)] = m^(i - j)[r, q] for i >= j, else 0 (the block diagonal is the identity)
+    upper = np.triu(p[k].transpose(0, 3, 1, 2).reshape(_CHUNK * d, -1))
+
+    def scan(u, y, n):
+        chunks = np.zeros((-(-n // _CHUNK) * _CHUNK, d), dtype=complex)
+        chunks[:n] = np.stack(np.broadcast_arrays(*u), axis=-1)
+        chunks = chunks.reshape(-1, _CHUNK * d) @ upper  # the responses from a zero state
+        entering = [y] + [y := p[-1] @ y + last for last in chunks[:-1, -d:]]
+        chunks += np.array(entering) @ m.T @ upper[:d]  # m^(i + 1) times the state entering
+        return chunks.reshape(-1, d)[:n].T
+
+    return scan
+
+
 def _scan_pair(rows, y0, y1, n):
     """The n states after (y0, y1) of y_{k+1} = M_k y_k + u_k; rows = (m00,
     m01, u0, m10, m11, u1) are the entries of [M_k | u_k], each a scalar or
@@ -186,14 +208,14 @@ def _stepper(t0, dt, n, lam, pair, inputs):
         x' = lam x + f_x(t),
         y' = [[d0, c0 e(t)], [c1 e(t), d1]] y + (f_0(t), f_1(t)),
 
-    from x = y_0 = y_1 = 0 at t0, with pair = (d0, d1, c0, c1).  Both are
-    run as affine recurrences over blocks of _BLOCK steps: x_{k+1} = m x_k
-    + u_k through `_recur`, y_{k+1} = M_k y_k + u_k through `_scan_pair`,
-    one code path whether M_k is constant (e = 1.0) or varies per step.
-    inputs(ts) returns (f_x, e, f_0, f_1) at the block's step
-    times followed by its midpoints, each a scalar or an array over ts; the
-    stage at t_k + h uses the sample at t_{k+1}.  e = None makes the
-    coupling follow x's own RK4 stage values (a pump ring-up).
+    from x = y_0 = y_1 = 0 at t0, with pair = (d0, d1, c0, c1), as affine
+    recurrences over blocks of _BLOCK steps: x_{k+1} = m x_k + u_k through
+    `_recur`, and y_{k+1} = M_k y_k + u_k through `_scan_pair`, or through
+    `_recur_matrix` (tables built once) when e is one scalar for the run.
+    inputs(ts) returns (f_x, e, f_0, f_1) at ts, each a scalar or an array
+    over ts: at t0, then at each block's later step times and midpoints, so
+    each time is sampled once; the stage at t_k + h uses the sample at
+    t_{k+1}.  e = None makes the coupling follow x's RK4 stages (a ring-up).
     |x| + |y_0| + |y_1| is tested for divergence every _CHECK_EVERY steps
     and at the end of each block, so a run shorter than _CHECK_EVERY steps
     is tested too.  Yields (t, x, y_0, y_1) arrays: the zero state at t0,
@@ -202,16 +224,18 @@ def _stepper(t0, dt, n, lam, pair, inputs):
     x = y0 = y1 = 0.0j
     half = 0.5 * dt
     m = _rk4_affine([[[lam]]] * 4, [[0.0]] * 4, [1.0], dt)[0]
+    edge, scan = inputs(np.array([t0 + 0.0 * dt])), None  # edge: the samples at the block's first step
     yield np.array([t0 + 0.0 * dt]), *np.zeros((3, 1), dtype=complex)
     for k0 in range(0, n, _BLOCK):
         nb = min(_BLOCK, n - k0)
         t = t0 + np.arange(k0, k0 + nb + 1) * dt
-        ts = np.concatenate([t, t[:-1] + half])
+        samples = inputs(np.concatenate([t[1:], t[:-1] + half]))
 
-        def stages(v):
-            return (v,) * 4 if np.ndim(v) == 0 else (v[:nb], v[nb + 1:], v[nb + 1:], v[1:nb + 1])
+        def stages(v, v0):
+            return (v,) * 4 if np.ndim(v) == 0 else (np.concatenate([v0, v[:nb - 1]]), v[nb:], v[nb:], v[:nb])
 
-        fx, e, f0, f1 = (None if v is None else stages(v) for v in inputs(ts))
+        fx, e, f0, f1 = (None if v is None else stages(v, v0) for v, v0 in zip(samples, edge))
+        edge = [v[nb - 1:nb] if np.ndim(v) else v for v in samples]
         ux = _rk4_affine([[[lam]]] * 4, [[v] for v in fx], [0.0], dt)[0]
         xs = _recur(m, ux + np.zeros(nb, dtype=complex), x)
         if e is None:
@@ -224,7 +248,11 @@ def _stepper(t0, dt, n, lam, pair, inputs):
         col0 = _rk4_affine(a, no_force, [1.0, 0.0], dt)
         col1 = _rk4_affine(a, no_force, [0.0, 1.0], dt)
         u = _rk4_affine(a, list(zip(f0, f1)), [0.0, 0.0], dt)
-        block = (xs, *_scan_pair((col0[0], col1[0], u[0], col0[1], col1[1], u[1]), y0, y1, nb))
+        if np.ndim(e[0]) == 0:
+            scan = scan or _recur_matrix(np.array([[col0[0], col1[0]], [col0[1], col1[1]]]))
+            block = (xs, *scan(u, np.array([y0, y1]), nb))
+        else:
+            block = (xs, *_scan_pair((col0[0], col1[0], u[0], col0[1], col1[1], u[1]), y0, y1, nb))
         # k0 is a multiple of _CHECK_EVERY; the block's last step is checked too
         check = np.append(np.arange(_CHECK_EVERY - 1, nb - 1, _CHECK_EVERY), nb - 1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -298,22 +326,17 @@ def integrate(
     t0, t1 = t_span
     n_steps = int(math.ceil((t1 - t0) / dt))
 
-    def sample(fn, ts):
-        return np.fromiter(map(fn, ts.tolist()), complex, ts.size)
-
     def inputs(ts):
-        a_in = 0.0 if opt is None else sample(opt, ts)
-        c_in = 0.0 if mw is None else sample(mw, ts)
+        a_in, c_in = (0.0 if fn is None else np.fromiter(map(fn, ts.tolist()), complex, ts.size) for fn in (opt, mw))
         c_in = np.conj(c_in) if model.sigma_u[1] < 0 else c_in  # an anomalous microwave port
         # a_in is in the spectator's frame, Im(A_ss) off the pair's
         return b[0][0] * a_in, 1.0, b[1][0] * a_in * np.exp(1j * spectator.imag * ts), b[2][1] * c_in
 
     pair = (a[1][1], a[2][2], a[1][2], a[2][1])  # (d0, d1, c0, c1)
-    t, *states = np.empty(n_steps + 1), *(np.empty(n_steps + 1, dtype=complex) for _ in range(3))
-    k = 0
-    for block in _stepper(t0, dt, n_steps, spectator.real, pair, inputs):
-        for r, v in zip((t, *states), block):
-            r[k:k + v.size] = v
+    t = t0 + np.arange(n_steps + 1) * dt  # the stepper's times
+    states, k = np.empty((3, n_steps + 1), dtype=complex), 0
+    for _, *block in _stepper(t0, dt, n_steps, spectator.real, pair, inputs):
+        states[:, k:k + block[0].size] = block
         k += block[0].size
     return Trajectory(t=t, **{name.removesuffix("_dag"): v if sign > 0 else v.conj()
                               for name, sign, v in zip(model.modes, model.sigma, states)})

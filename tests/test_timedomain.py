@@ -31,6 +31,7 @@ from moptrans.timedomain import (
     _OVERFLOW,
     _PAIR_CHUNK,
     _recur,
+    _recur_matrix,
     _scan_pair,
 )
 
@@ -449,6 +450,36 @@ class TestIntegrate:
             integrate(op, None, {"microwave": drive}, (0.0, 400.0 / op.kappa_m), dt)
         assert not calls
 
+    def test_each_drive_sample_taken_once(self):
+        """Over a run of several blocks each drive is called 2n + 1 times,
+        once at every step time and once at every midpoint."""
+        op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.3)
+        calls = {"optical": [], "microwave": []}
+        n, dt = 3 * _BLOCK + 5, _dt_for(op, optical_drive=True)
+        drives = {port: (lambda t, ts=ts: ts.append(t) or 0.5) for port, ts in calls.items()}
+        traj = integrate(op, None, drives, (0.0, (n - 0.5) * dt), dt)
+        for ts in calls.values():
+            assert len(ts) == 2 * n + 1
+            assert sorted(ts) == sorted([*traj.t.tolist(), *(traj.t[:-1] + 0.5 * dt).tolist()])
+
+    def test_constant_coupling_skips_the_pair_scan(self, monkeypatch):
+        """A constant-coupling run steps its pair through `_recur_matrix`,
+        never `_scan_pair`; the pulse's ring-up still uses `_scan_pair`."""
+        scan_pair, calls = timedomain._scan_pair, []
+
+        def refuse(*args):
+            raise AssertionError("_scan_pair called on a constant map")
+
+        monkeypatch.setattr(timedomain, "_scan_pair", refuse)
+        op = make_rates_op(Configuration.STOKES, cooperativity=0.3)
+        dt = _dt_for(op, optical_drive=True)
+        drives = {"optical": lambda t: 0.8, "microwave": lambda t: 0.6j}
+        integrate(op, None, drives, (0.0, (2 * _BLOCK + 7) * dt), dt)
+        monkeypatch.setattr(timedomain, "_scan_pair", lambda *args: calls.append(args) or scan_pair(*args))
+        pulsed_downconversion(make_paper_device(), PulseSequence(0.1e-6, 100e3), 1e12,
+                              LockInConfig(TWO_PI * 3.48e9, 10e-9), PumpConfig(Configuration.STOKES, 0.126), 0.15e-6)
+        assert calls
+
     def test_rk4_order(self):
         """Halving dt cuts the error against a dt/8 reference by ~16x."""
         op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.3)
@@ -640,7 +671,7 @@ class TestStepperMatchesReference:
         assert t_new == t_old
         steps = round(float(t_new) / dt)
         assert steps < math.ceil(span[1] / dt) - _BLOCK
-        assert len(calls) <= 2 * (steps + _BLOCK) + steps // _BLOCK + 1
+        assert len(calls) == 2 * _BLOCK * ((steps - 1) // _BLOCK + 1) + 1  # whole blocks, each time once
 
 
 class TestLockIn:
@@ -765,6 +796,48 @@ class TestScanPair:
         peak = max(np.max(np.abs(r)) for r in ref)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-12 * peak
+
+
+class TestRecurMatrix:
+    """The constant-map scan of the pair against the per-step loop: seeded
+    random contractive maps, a map with an eigenvalue at |lambda| = 1 -
+    1e-6, and a defective (Jordan) map."""
+
+    @staticmethod
+    def _map(kind):
+        rng = np.random.default_rng(7)
+        if kind == "jordan":
+            lam = 0.99 * cmath.exp(0.2j)
+            return np.array([[lam, 1.0], [0.0, lam]])
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if kind == "contractive":
+            return m * 0.9 / np.linalg.norm(m)
+        v = m + 2.0 * np.eye(2)  # eigenvectors, well conditioned
+        return v @ np.diag([(1.0 - 1e-6) * cmath.exp(0.4j), 0.5j]) @ np.linalg.inv(v)
+
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("kind", ["contractive", "near-unit", "jordan"])
+    @pytest.mark.parametrize("y", [(0.0, 0.0), (1.5 - 0.5j, -0.7 + 2.0j)])
+    def test_matches_loop(self, n, kind, y):
+        m = self._map(kind)
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        got = _recur_matrix(m)(u, np.array(y), n)
+        ref = _pair_loop_ref((m[0, 0], m[0, 1], u[0], m[1, 0], m[1, 1], u[1]), *y, n)
+        assert got.shape == (2, n)
+        peak = max(np.max(np.abs(r)) for r in ref)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-12 * peak
+
+    def test_scalar_input_and_reuse(self):
+        """An input entry may be a scalar held over the steps, and one scan
+        serves any number of runs."""
+        m = self._map("contractive")
+        scan, u0 = _recur_matrix(m), np.linspace(0.0, 1.0, 300) * 1j
+        for y in ((0.0, 0.0), (0.3, -1.0j)):
+            ref = _pair_loop_ref((m[0, 0], m[0, 1], u0, m[1, 0], m[1, 1], 0.25), *y, 300)
+            got = scan((u0, 0.25), np.array(y), 300)
+            assert max(np.max(np.abs(g - r)) for g, r in zip(got, ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestPulsed:
