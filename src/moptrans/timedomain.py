@@ -8,14 +8,14 @@ Langevin noise operators are replaced by deterministic drive amplitudes
 empty, and every step is recorded.
 
 Stepping: the equations are linear, so one classical RK4 step is the
-affine map y_{k+1} = M_k y_k + u_k, whose coefficients come from the
-coupling and drive samples alone.  One stepper builds them in numpy for
-blocks of _BLOCK steps, carries the state across blocks and yields each
-block as it is made.  A map that is the same at every step runs as a
-first-order recurrence: `_recur` for the decoupled scalar mode (the
-spectator, or the pump ring-up of the pulse), `_recur_matrix` for the
-coupled pair under `integrate`.  Under the ring-up the pair's M_k changes
-per step, and it runs as an affine scan (`_scan_pair`).  Each sums in
+affine map y_{k+1} = M_k y_k + u_k, linear in the step's drive samples
+and multilinear in its stage couplings; tables built once per run give a
+block of _BLOCK maps by matmul.  One stepper makes the blocks, carries
+the state across them and yields each as it is made.  A constant map
+runs as a first-order recurrence: `_recur` for the decoupled scalar mode
+(the spectator, or the pulse's pump ring-up), `_recur_matrix` for the
+pair under `integrate`.  Under the ring-up the pair's M_k changes per
+step, and a two-level affine scan (`_scan_steps`) runs it.  Each sums in
 another order than a per-step loop, so they match it to rounding only.
 `integrate` collects the blocks into a `Trajectory`; the pulse turns each
 into its stretch of the microwave waveform and the lock-in runs blockwise,
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -47,8 +48,8 @@ from .model import TWO_PI, Configuration, DeviceParams, PumpConfig, check_stokes
 _OVERFLOW = 1e12
 _CHECK_EVERY = 256
 _BLOCK = 16 * _CHECK_EVERY  # steps per block: bounds the temporaries
-_CHUNK = 64  # steps per chunk of `_recur` and `_recur_matrix`
-_PAIR_CHUNK = 32  # steps per chunk of `_scan_pair`
+_CHUNK = 64  # steps per chunk of `_recur` and `_recur_matrix`; `_scan_steps` carries fewer maps in Python
+_LEVEL = 8  # steps per chunk of `_scan_steps`
 _MAX_PULSE_STEPS = 2 ** 23  # longest pulsed window: about 270 MB of time, waveform and lock-in arrays
 
 
@@ -134,61 +135,54 @@ def _recur(m, u, x=0.0):
 
 
 def _recur_matrix(m):
-    """`_recur` for a constant d x d map m: scan(u, y, n) gives the states
-    y_k = m y_{k-1} + u_k, k < n, from y_{-1} = y as d rows, u holding d
-    scalars or arrays over the steps; the tables are built once, here."""
-    d = len(m)
-    p = np.array(list(accumulate([m] * _CHUNK, np.matmul, initial=np.eye(d))))
+    """`_recur` for a constant 2 x 2 map m: scan(u, y) gives the states y_k
+    = m y_{k-1} + u_k, k < n, from y_{-1} = y as 2 rows, for the forcing u
+    of shape (n, 2); the tables are built once, here."""
+    p = np.array(list(accumulate([m] * _CHUNK, np.matmul, initial=np.eye(2))))
     k = abs(np.arange(_CHUNK) - np.arange(_CHUNK)[:, None])
     # upper[(j, q), (i, r)] = m^(i - j)[r, q] for i >= j, else 0 (the block diagonal is the identity)
-    upper = np.triu(p[k].transpose(0, 3, 1, 2).reshape(_CHUNK * d, -1))
+    upper = np.triu(p[k].transpose(0, 3, 1, 2).reshape(_CHUNK * 2, -1))
 
-    def scan(u, y, n):
-        chunks = np.zeros((-(-n // _CHUNK) * _CHUNK, d), dtype=complex)
-        chunks[:n] = np.stack(np.broadcast_arrays(*u), axis=-1)
-        chunks = chunks.reshape(-1, _CHUNK * d) @ upper  # the responses from a zero state
-        entering = [y] + [y := p[-1] @ y + last for last in chunks[:-1, -d:]]
-        chunks += np.array(entering) @ m.T @ upper[:d]  # m^(i + 1) times the state entering
-        return chunks.reshape(-1, d)[:n].T
+    def scan(u, y):
+        n = len(u)
+        u = np.concatenate([u, np.zeros((-n % _CHUNK, 2))]) if n % _CHUNK else u
+        chunks = u.reshape(-1, _CHUNK * 2) @ upper  # the responses from a zero state
+        ends = chunks[:-1, -2:, None]  # m^_CHUNK carries each into the next chunk
+        entering = _scan_steps(np.concatenate([np.broadcast_to(p[-1], (len(ends), 2, 2)), ends], axis=2), y)
+        chunks += entering.T @ m.T @ upper[:2]  # m^(i + 1) times the state entering
+        return chunks.reshape(-1, 2)[:n].T
 
     return scan
 
 
-def _scan_pair(rows, y0, y1, n):
-    """The n states after (y0, y1) of y_{k+1} = M_k y_k + u_k; rows = (m00,
-    m01, u0, m10, m11, u1) are the entries of [M_k | u_k], each a scalar or
-    an array over the steps.  log2(_PAIR_CHUNK) doubling passes compose each
-    map with those before it in its chunk of _PAIR_CHUNK steps, and a serial
-    carry gives the state entering each chunk (the affine scan of Blelloch,
-    CMU-CS-90-190, 1990; Martin & Cundy, ICLR 2018)."""
-    y0, y1 = complex(y0), complex(y1)
-    a = np.zeros((6, -(-n // _PAIR_CHUNK) * _PAIR_CHUNK), dtype=complex)
-    a[[0, 4], n:] = 1.0  # identity maps pad the last chunk
-    for entry, v in zip(a, rows):
-        entry[:n] = v
-    a = a.reshape(2, 3, -1, _PAIR_CHUNK)  # a[r] = (m_r0, m_r1, u_r) over (chunk, step)
-    s = 1
-    while s < _PAIR_CHUNK:  # step i now holds the map over steps i - 2s + 1 .. i of its chunk
-        late, early = a[..., s:], a[..., :-s]
-        composed = late[:, :1] * early[0] + late[:, 1:2] * early[1]
-        composed[:, 2] += late[:, 2]
-        a[..., s:] = composed
-        s *= 2
-    entering = []
-    for m00, m01, u0, m10, m11, u1 in zip(*a[..., -1].reshape(6, -1).tolist()):
-        entering.append((y0, y1))
-        y0, y1 = m00 * y0 + m01 * y1 + u0, m10 * y0 + m11 * y1 + u1
-    z0, z1 = np.array(entering).T[:, :, None]
-    return (a[:, 0] * z0 + a[:, 1] * z1 + a[:, 2]).reshape(2, -1)[:, :n]
+def _scan_steps(maps, y):
+    """The states y_{-1} = y = (y_0, y_1) and y_k = M_k y_{k-1} + u_k, k <
+    n, as 2 rows, for the (n, 2, 3) maps [M_k | u_k].  A serial pass over
+    the _LEVEL steps of each chunk, vectorised over the chunks, composes
+    each map with those before it in its chunk; the chunk-end maps are
+    scanned the same way for the state entering each chunk, and fewer than
+    _CHUNK maps are carried in Python (Blelloch, CMU-CS-90-190, 1990)."""
+    n = len(maps)
+    if n < _CHUNK:
+        return np.array([y := tuple(map(complex, y))] + [
+            y := (m[0] * y[0] + m[1] * y[1] + m[2], m[3] * y[0] + m[4] * y[1] + m[5])
+            for m in maps.reshape(n, 6).tolist()], dtype=complex).T
+    if n % _LEVEL:  # pads the last chunk, whose end map and padded states are never read
+        maps = np.concatenate([maps, np.zeros((-n % _LEVEL, 2, 3))])
+    a = maps.reshape(-1, _LEVEL, 2, 3).transpose(1, 2, 3, 0).copy()  # a[i]: step i of each chunk
+    for i in range(1, _LEVEL):  # a[i] now maps the state entering its chunk to the one after step i
+        composed = a[i, :, :1] * a[i - 1, 0] + a[i, :, 1:2] * a[i - 1, 1]
+        composed[:, 2] += a[i, :, 2]
+        a[i] = composed
+    z = _scan_steps(a[-1, ..., :-1].transpose(2, 0, 1), y)  # the state entering each chunk
+    states = (a[:, :, 0] * z[0] + a[:, :, 1] * z[1] + a[:, :, 2]).transpose(1, 2, 0).reshape(2, -1)
+    return np.concatenate([z[:, :1], states[:, :n]], axis=1)
 
 
 def _rk4_affine(a, f, y, h):
-    """One classical RK4 step of y' = A y + f, vectorised over a block of
-    steps.  a[s] (a list of rows) and f[s] are the matrix and the forcing at
-    stage s, i.e. at t, t + h/2, t + h/2 and t + h; entries are scalars or
-    arrays over the steps.  The step is affine in y: stepping the unit
-    vectors without forcing gives the columns of M, and stepping zero gives
-    u, in y_next = M y + u."""
+    """One classical RK4 step of y' = A y + f.  a[s] (a list of rows) and
+    f[s] are the matrix and the forcing at stage s, i.e. at t, t + h/2, t +
+    h/2 and t + h; the stepper's tables call it on scalars."""
 
     def rhs(s, z):
         return [sum(aij * zj for aij, zj in zip(row, z)) + fi for row, fi in zip(a[s], f[s])]
@@ -202,57 +196,91 @@ def _rk4_affine(a, f, y, h):
     return [yi + sixth * (p + 2.0 * q + 2.0 * r + w) for yi, p, q, r, w in zip(y, k1, k2, k3, k4)]
 
 
+def _forcing_table(a, h, forcings=None):
+    """(M, K) of one RK4 step y -> M y + s K of y' = A y + f, with the stage
+    matrices a (d x d scalars) of `_rk4_affine`.  s is the row of the 3d
+    forcing samples, f_i at t, t + h/2 and t + h in columns i, d + i and 2d
+    + i; or K's rows step zero under each stage forcing in `forcings`."""
+    zero = [0.0] * len(a[0])
+    eye = np.eye(len(zero)).tolist()
+    if forcings is None:  # the unit samples; stages 2 and 3 both read t + h/2
+        forcings = [[e if stage == j else zero for stage in (0, 1, 1, 2)] for j in range(3) for e in eye]
+    m = [_rk4_affine(a, [zero] * 4, unit, h) for unit in eye]  # the columns of M
+    return np.transpose(m), np.array([_rk4_affine(a, f, zero, h) for f in forcings])
+
+
+def _coupling_maps(pair, h, f):
+    """maps(e) gives the (n, 2, 3) maps [M_k | u_k] of RK4 steps of the
+    pair under real stage couplings e = (e_1, .. e_4), arrays over the n
+    steps, and the constant forcing f = (f_0, f_1).  Being multilinear in
+    the e_s, [M_k | u_k] = p_k C, p_k the 16 products of e_s over subsets of
+    the stages; C, built here, is `_forcing_table` at e in {0, 1}^4,
+    Moebius-inverted."""
+    d0, d1, c0, c1 = pair
+    stages = ([[[d0, c0 * (c >> s & 1)], [c1 * (c >> s & 1), d1]] for s in range(4)] for c in range(16))
+    corners = [np.hstack([m, u.T]) for m, u in (_forcing_table(a, h, [[f] * 4]) for a in stages)]
+    mobius = reduce(np.kron, [[[1.0, 0.0], [-1.0, 1.0]]] * 4)  # inverts the sums over subsets
+    table = (mobius @ np.array(corners).reshape(16, 6)).view(float)
+
+    def maps(e):
+        p = np.ones((16, len(e[0])))
+        for s, es in enumerate(e):  # row c: the product of the e_s with bit s of c set
+            np.multiply(p[:2 ** s], es, out=p[2 ** s:2 ** (s + 1)])
+        return (p.T @ table).view(complex).reshape(-1, 2, 3)
+
+    return maps
+
+
 def _stepper(t0, dt, n, lam, pair, inputs):
     """Fixed-step classical RK4 of a scalar mode x and a coupled pair y,
 
         x' = lam x + f_x(t),
         y' = [[d0, c0 e(t)], [c1 e(t), d1]] y + (f_0(t), f_1(t)),
 
-    from x = y_0 = y_1 = 0 at t0, with pair = (d0, d1, c0, c1), as affine
-    recurrences over blocks of _BLOCK steps: x_{k+1} = m x_k + u_k through
-    `_recur`, and y_{k+1} = M_k y_k + u_k through `_scan_pair`, or through
-    `_recur_matrix` (tables built once) when e is one scalar for the run.
-    inputs(ts) returns (f_x, e, f_0, f_1) at ts, each a scalar or an array
-    over ts: at t0, then at each block's later step times and midpoints, so
-    each time is sampled once; the stage at t_k + h uses the sample at
-    t_{k+1}.  e = None makes the coupling follow x's RK4 stages (a ring-up).
-    |x| + |y_0| + |y_1| is tested for divergence every _CHECK_EVERY steps
-    and at the end of each block, so a run shorter than _CHECK_EVERY steps
-    is tested too.  Yields (t, x, y_0, y_1) arrays: the zero state at t0,
-    then each block's states after its steps."""
+    from x = y_0 = y_1 = 0 at t0, with pair = (d0, d1, c0, c1), in blocks
+    of _BLOCK steps.  inputs(ts) returns (f_x, e, f_0, f_1) at ts, each a
+    scalar or an array over ts: at t0, then at each block's later step
+    times and midpoints, so each time is sampled once; the stage at t_k + h
+    uses the sample at t_{k+1}.  The forcing of x, and of y if e is one
+    scalar for the run, is the samples times `_forcing_table`, and they run
+    through `_recur` and `_recur_matrix`.  e = None makes the coupling
+    follow x's RK4 stages (a ring-up: lam, f_x real; f_0, f_1 scalars), and
+    y runs through `_coupling_maps` and `_scan_steps`.  |x| + |y_0| + |y_1|
+    is tested for divergence every _CHECK_EVERY steps and at each block's
+    end, so a run shorter than _CHECK_EVERY steps is tested too.  Yields (t,
+    x, y_0, y_1) arrays: the zero state at t0, then each block's states."""
     d0, d1, c0, c1 = pair
-    x = y0 = y1 = 0.0j
+    x, y = 0.0, (0.0j, 0.0j)
     half = 0.5 * dt
-    m = _rk4_affine([[[lam]]] * 4, [[0.0]] * 4, [1.0], dt)[0]
-    edge, scan = inputs(np.array([t0 + 0.0 * dt])), None  # edge: the samples at the block's first step
+    ((m,),), kx = _forcing_table([[[lam]]] * 4, dt)
+    _, e, *f = edge = [v[0] if np.ndim(v) else v for v in inputs(np.array([t0 + 0.0 * dt]))]  # samples at t_k0
+    if e is None:
+        maps = _coupling_maps(pair, dt, f)
+    else:
+        m_pair, k = _forcing_table([[[d0, c0 * e], [c1 * e, d1]]] * 4, dt)
+        scan = _recur_matrix(m_pair)
     yield np.array([t0 + 0.0 * dt]), *np.zeros((3, 1), dtype=complex)
     for k0 in range(0, n, _BLOCK):
         nb = min(_BLOCK, n - k0)
         t = t0 + np.arange(k0, k0 + nb + 1) * dt
         samples = inputs(np.concatenate([t[1:], t[:-1] + half]))
 
-        def stages(v, v0):
-            return (v,) * 4 if np.ndim(v) == 0 else (np.concatenate([v0, v[:nb - 1]]), v[nb:], v[nb:], v[:nb])
+        def rows(vs, v0s):  # each step's samples of vs: all at t_k, then at t_k + h/2, then at t_{k+1}
+            vs = [np.broadcast_to(v, 2 * nb) for v in vs]
+            return np.stack([np.append(v0, v[:nb - 1]) for v, v0 in zip(vs, v0s)] + [v[nb:] for v in vs]
+                            + [v[:nb] for v in vs], axis=-1)
 
-        fx, e, f0, f1 = (None if v is None else stages(v, v0) for v, v0 in zip(samples, edge))
-        edge = [v[nb - 1:nb] if np.ndim(v) else v for v in samples]
-        ux = _rk4_affine([[[lam]]] * 4, [[v] for v in fx], [0.0], dt)[0]
-        xs = _recur(m, ux + np.zeros(nb, dtype=complex), x)
+        sx = rows(samples[:1], edge[:1])
+        xs = _recur(m, (sx @ kx)[:, 0], x)
         if e is None:
             x1 = np.concatenate([[x], xs[:-1]])
-            x2 = x1 + half * (lam * x1 + fx[0])
-            x3 = x1 + half * (lam * x2 + fx[1])
-            e = (x1, x2, x3, x1 + dt * (lam * x3 + fx[2]))
-        a = [[[d0, c0 * es], [c1 * es, d1]] for es in e]
-        no_force = [[0.0, 0.0]] * 4
-        col0 = _rk4_affine(a, no_force, [1.0, 0.0], dt)
-        col1 = _rk4_affine(a, no_force, [0.0, 1.0], dt)
-        u = _rk4_affine(a, list(zip(f0, f1)), [0.0, 0.0], dt)
-        if np.ndim(e[0]) == 0:
-            scan = scan or _recur_matrix(np.array([[col0[0], col1[0]], [col0[1], col1[1]]]))
-            block = (xs, *scan(u, np.array([y0, y1]), nb))
+            x2 = x1 + half * (lam * x1 + sx[:, 0])
+            x3 = x1 + half * (lam * x2 + sx[:, 1])
+            ys = _scan_steps(maps((x1, x2, x3, x1 + dt * (lam * x3 + sx[:, 1]))), y)[:, 1:]
         else:
-            block = (xs, *_scan_pair((col0[0], col1[0], u[0], col0[1], col1[1], u[1]), y0, y1, nb))
+            ys = scan(rows(samples[2:], edge[2:]) @ k, y)
+        edge = [v[nb - 1] if np.ndim(v) else v for v in samples]
+        block = (xs, *ys)
         # k0 is a multiple of _CHECK_EVERY; the block's last step is checked too
         check = np.append(np.arange(_CHECK_EVERY - 1, nb - 1, _CHECK_EVERY), nb - 1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -265,7 +293,7 @@ def _stepper(t0, dt, n, lam, pair, inputs):
                 "operating point is above the parametric threshold"
             )
         yield t[1:], *block
-        x, y0, y1 = (v[-1] for v in block)
+        x, y = xs[-1].item(), ys[:, -1]
 
 
 def _check_step(dt: float, model, extra_hz: float = 0.0, advice: str = "") -> None:

@@ -29,10 +29,13 @@ from moptrans.timedomain import (
     _CHUNK,
     _MAX_PULSE_STEPS,
     _OVERFLOW,
-    _PAIR_CHUNK,
+    _LEVEL,
     _recur,
+    _coupling_maps,
+    _forcing_table,
     _recur_matrix,
-    _scan_pair,
+    _rk4_affine,
+    _scan_steps,
 )
 
 from conftest import make_paper_device, make_rates_op
@@ -462,23 +465,74 @@ class TestIntegrate:
             assert len(ts) == 2 * n + 1
             assert sorted(ts) == sorted([*traj.t.tolist(), *(traj.t[:-1] + 0.5 * dt).tolist()])
 
-    def test_constant_coupling_skips_the_pair_scan(self, monkeypatch):
+    def test_constant_coupling_skips_the_per_step_scan(self, monkeypatch):
         """A constant-coupling run steps its pair through `_recur_matrix`,
-        never `_scan_pair`; the pulse's ring-up still uses `_scan_pair`."""
-        scan_pair, calls = timedomain._scan_pair, []
+        and `_scan_steps` only carries that scan's chunk ends; the pulse's
+        ring-up scans its per-step maps with `_scan_steps`."""
+        scan_steps, recur_matrix, inside, outside = timedomain._scan_steps, timedomain._recur_matrix, [], []
 
-        def refuse(*args):
-            raise AssertionError("_scan_pair called on a constant map")
+        def tracked_recur_matrix(m):
+            scan = recur_matrix(m)
 
-        monkeypatch.setattr(timedomain, "_scan_pair", refuse)
+            def tracked(u, y):
+                inside.append(len(u))
+                try:
+                    return scan(u, y)
+                finally:
+                    inside.pop()
+
+            return tracked
+
+        def tracked_scan_steps(maps, y):
+            if not inside:
+                outside.append(len(maps))
+            return scan_steps(maps, y)
+
+        monkeypatch.setattr(timedomain, "_recur_matrix", tracked_recur_matrix)
+        monkeypatch.setattr(timedomain, "_scan_steps", tracked_scan_steps)
         op = make_rates_op(Configuration.STOKES, cooperativity=0.3)
         dt = _dt_for(op, optical_drive=True)
         drives = {"optical": lambda t: 0.8, "microwave": lambda t: 0.6j}
         integrate(op, None, drives, (0.0, (2 * _BLOCK + 7) * dt), dt)
-        monkeypatch.setattr(timedomain, "_scan_pair", lambda *args: calls.append(args) or scan_pair(*args))
+        assert not outside
         pulsed_downconversion(make_paper_device(), PulseSequence(0.1e-6, 100e3), 1e12,
                               LockInConfig(TWO_PI * 3.48e9, 10e-9), PumpConfig(Configuration.STOKES, 0.126), 0.15e-6)
-        assert calls
+        assert _BLOCK in outside
+
+    def test_rk4_affine_runs_per_table_not_per_step(self, monkeypatch):
+        """`_rk4_affine` only builds the per-run tables: over integrate runs
+        of several blocks and over pulses it never receives an array, and
+        it is called as often for a short run as for a long one."""
+        rk4_affine, calls = timedomain._rk4_affine, []
+
+        def scalars_only(*args):
+            flat = list(args)
+            while flat:
+                v = flat.pop()
+                if isinstance(v, (list, tuple)):
+                    flat.extend(v)
+                else:
+                    assert np.ndim(v) == 0, "_rk4_affine received an array"
+            calls.append(1)
+            return rk4_affine(*args)
+
+        monkeypatch.setattr(timedomain, "_rk4_affine", scalars_only)
+        op = make_rates_op(Configuration.ANTI_STOKES, cooperativity=0.3)
+        dt = _dt_for(op, optical_drive=True)
+        drives = {"optical": lambda t: 0.8 * cmath.exp(-2e8j * t), "microwave": lambda t: 0.6j}
+        pulse_args = (make_paper_device(), PulseSequence(0.1e-6, 100e3), 1e12,
+                      LockInConfig(TWO_PI * 3.48e9, 10e-9), PumpConfig(Configuration.STOKES, 0.126))
+        counts = []
+        for n in (_BLOCK + 3, 3 * _BLOCK + 100):
+            integrate(op, None, drives, (0.0, (n - 0.5) * dt), dt)
+            counts.append(len(calls))
+            calls.clear()
+        for duration in (0.1e-6, 0.2e-6):
+            pulsed_downconversion(*pulse_args, duration)
+            counts.append(len(calls))
+            calls.clear()
+        assert counts[0] == counts[1] > 0
+        assert counts[2] == counts[3] > 0
 
     def test_rk4_order(self):
         """Halving dt cuts the error against a dt/8 reference by ~16x."""
@@ -775,27 +829,55 @@ class TestRecurrence:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-class TestScanPair:
-    """The chunked affine scan of the pair against the per-step loop, on
-    seeded random contractive maps."""
+def _per_step_maps(kind, n, seed):
+    """(n, 2, 3) maps [M_k | u_k] with random forcing: seeded random
+    contractions; maps sharing eigenvectors, one eigenvalue at |lambda| =
+    1 - 1e-6 with a phase that changes per step; or defective (Jordan)
+    maps with |lambda| = 0.99 and a phase that changes per step."""
+    rng = np.random.default_rng([n, seed])
+    maps = np.empty((n, 2, 3), dtype=complex)
+    maps[..., 2] = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
+    if kind == "contractive":
+        m = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        maps[..., :2] = m * (rng.uniform(0.5, 0.999, size=n) / np.linalg.norm(m, axis=(1, 2)))[:, None, None]
+    elif kind == "near-unit":
+        v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) + 2.0 * np.eye(2)  # well conditioned
+        eig = np.stack([(1.0 - 1e-6) * phase, np.full(n, 0.5j)], axis=1)
+        maps[..., :2] = v @ (eig[:, :, None] * np.linalg.inv(v))
+    else:
+        maps[..., :2] = [[1.0, 1.0], [0.0, 1.0]]
+        maps[:, 0, 0] = maps[:, 1, 1] = 0.99 * phase
+    return maps
 
-    @pytest.mark.parametrize("n", [1, _PAIR_CHUNK - 1, _PAIR_CHUNK, _PAIR_CHUNK + 1, 4096, 4097, 10_000])
-    @pytest.mark.parametrize("per_step", [False, True])
+
+MAP_KINDS = ["contractive", "near-unit", "jordan"]
+
+
+class TestScanPair:
+    """The two-level scan of per-step pair maps (`_scan_steps`) against the
+    per-step loop."""
+
+    @pytest.mark.parametrize("n", [1, _LEVEL - 1, _LEVEL, _LEVEL + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   4096, 4097, 10_000])
+    @pytest.mark.parametrize("kind", MAP_KINDS)
     @pytest.mark.parametrize("y", [(0.0, 0.0), (1.5 - 0.5j, -0.7 + 2.0j)])
-    def test_matches_loop(self, n, per_step, y):
-        rng = np.random.default_rng([n, per_step])
-        shape = (n,) if per_step else ()
-        m = rng.normal(size=(4, *shape)) + 1j * rng.normal(size=(4, *shape))
-        # Frobenius norm below 1, so every M_k is a contraction
-        m *= rng.uniform(0.5, 0.999, size=shape) / np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
-        u = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        rows = (m[0], m[1], u[0], m[2], m[3], u[1])
-        got = _scan_pair(rows, *y, n)
+    def test_matches_loop(self, n, kind, y):
+        maps = _per_step_maps(kind, n, 0)
+        rows = maps.reshape(n, 6).T
+        got = _scan_steps(maps.copy(), y)
         ref = _pair_loop_ref(rows, *y, n)
-        assert got.shape == (2, n)
+        assert got.shape == (2, n + 1)
+        assert np.array_equal(got[:, 0], y)
         peak = max(np.max(np.abs(r)) for r in ref)
-        for g, r in zip(got, ref):
+        for g, r in zip(got[:, 1:], ref):
             assert np.max(np.abs(g - r)) <= 1e-12 * peak
+
+    def test_leaves_the_maps_unchanged(self):
+        maps = _per_step_maps("contractive", 1000, 1)
+        before = maps.copy()
+        _scan_steps(maps, (0.3, 0.1j))
+        assert np.array_equal(maps, before)
 
 
 class TestRecurMatrix:
@@ -816,28 +898,71 @@ class TestRecurMatrix:
         return v @ np.diag([(1.0 - 1e-6) * cmath.exp(0.4j), 0.5j]) @ np.linalg.inv(v)
 
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 4096, 4097, 10_000])
-    @pytest.mark.parametrize("kind", ["contractive", "near-unit", "jordan"])
+    @pytest.mark.parametrize("kind", MAP_KINDS)
     @pytest.mark.parametrize("y", [(0.0, 0.0), (1.5 - 0.5j, -0.7 + 2.0j)])
     def test_matches_loop(self, n, kind, y):
         m = self._map(kind)
         rng = np.random.default_rng(n)
         u = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        got = _recur_matrix(m)(u, np.array(y), n)
+        got = _recur_matrix(m)(u.T, y)
         ref = _pair_loop_ref((m[0, 0], m[0, 1], u[0], m[1, 0], m[1, 1], u[1]), *y, n)
         assert got.shape == (2, n)
         peak = max(np.max(np.abs(r)) for r in ref)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-12 * peak
 
-    def test_scalar_input_and_reuse(self):
-        """An input entry may be a scalar held over the steps, and one scan
-        serves any number of runs."""
+    def test_reuse(self):
+        """One scan serves any number of runs."""
         m = self._map("contractive")
         scan, u0 = _recur_matrix(m), np.linspace(0.0, 1.0, 300) * 1j
+        u = np.stack([u0, np.full(300, 0.25)], axis=1)
         for y in ((0.0, 0.0), (0.3, -1.0j)):
             ref = _pair_loop_ref((m[0, 0], m[0, 1], u0, m[1, 0], m[1, 1], 0.25), *y, 300)
-            got = scan((u0, 0.25), np.array(y), 300)
+            got = scan(u, y)
             assert max(np.max(np.abs(g - r)) for g, r in zip(got, ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestTables:
+    """The per-run tables give each step's [M | u] as `_rk4_affine` does
+    on that step's couplings and forcing samples, to 1e-14 of each entry's
+    scale over the steps."""
+
+    @staticmethod
+    def _close(got, ref):  # the steps along axis 0
+        ref = np.broadcast_to(ref, got.shape)
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("cfg", [Configuration.ANTI_STOKES, Configuration.STOKES])
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_match_rk4_affine(self, cfg, seed):
+        rng = np.random.default_rng(seed)
+        op = make_rates_op(cfg, cooperativity=rng.uniform(0.05, 0.9))
+        a = linear_model(op).a
+        d0, d1, c0, c1 = pair = (a[1][1], a[2][2], a[1][2], a[2][1])
+        dt, n = _dt_for(op, optical_drive=True), 64
+        zero, units = [0.0, 0.0], np.eye(2).tolist()
+        # the ring-up: real couplings per stage and step, a constant forcing
+        e = rng.uniform(-0.5, 1.5, size=(4, n))
+        f = list(rng.normal(size=2) + 1j * rng.normal(size=2))
+        stages = [[[d0, c0 * es], [c1 * es, d1]] for es in e]
+        ref = [_rk4_affine(stages, [zero] * 4, unit, dt) for unit in units] + [_rk4_affine(stages, [f] * 4, zero, dt)]
+        self._close(_coupling_maps(pair, dt, f)(e), np.transpose(ref, (2, 1, 0)))
+        # a constant coupling and forcing samples at t, t + h/2 and t + h
+        e = rng.uniform(-0.5, 1.5)
+        s = rng.normal(size=(n, 6)) + 1j * rng.normal(size=(n, 6))
+        stages = [[[d0, c0 * e], [c1 * e, d1]]] * 4
+        m, k = _forcing_table(stages, dt)
+        self._close(m[None], np.transpose([_rk4_affine(stages, [zero] * 4, unit, dt) for unit in units])[None])
+        forcing = [list(s[:, j:j + 2].T) for j in (0, 2, 2, 4)]
+        self._close(s @ k, np.transpose(_rk4_affine(stages, forcing, zero, dt)))
+        # the scalar mode
+        lam = a[0][0].real
+        m, k = _forcing_table([[[lam]]] * 4, dt)
+        self._close(m[None], _rk4_affine([[[lam]]] * 4, [[0.0]] * 4, [1.0], dt)[0])
+        ref = _rk4_affine([[[lam]]] * 4, [[s[:, j]] for j in (0, 2, 2, 4)], [0.0], dt)[0]
+        self._close((s[:, [0, 2, 4]] @ k)[:, 0], ref)
 
 
 class TestPulsed:
