@@ -8,18 +8,18 @@ Langevin noise operators are replaced by deterministic drive amplitudes
 empty, and every step is recorded.
 
 Stepping: the equations are linear, so one classical RK4 step is the
-affine map y_{k+1} = M_k y_k + u_k, linear in the step's drive samples
-and multilinear in its stage couplings; tables built once per run give a
-block of _BLOCK maps by matmul.  One stepper makes the blocks, carries
-the state across them and yields each as it is made.  A constant map
-runs as a first-order recurrence: `_recur` for the decoupled scalar mode
-(the spectator, or the pulse's pump ring-up), `_recur_matrix` for the
-pair under `integrate`.  Under the ring-up the pair's M_k changes per
-step, and a two-level affine scan (`_scan_steps`) runs it.  Each sums in
-another order than a per-step loop, so they match it to rounding only.
-`integrate` collects the blocks into a `Trajectory`; the pulse turns each
-into its stretch of the microwave waveform and the lock-in runs blockwise,
-so a pulse holds only t, the waveform, amplitude and phase: 32 B per step.
+affine map y_{k+1} = M_k y_k + u_k, linear in the step's drive samples and
+multilinear in its stage couplings.  One stepper runs on the caller's time
+axis, builds its tables once per run and yields each block of _BLOCK
+states as it is made.  A constant map runs as a first-order recurrence:
+`_recur` for the decoupled scalar mode (the spectator, or the pulse's pump
+ring-up), `_recur_matrix` for A's coupled block, the pair, under
+`integrate`.  Under the pulse's ring-up the pair's M_k changes per step,
+and a two-level affine scan (`_scan_steps`) runs it.  Each sums in another
+order than a per-step loop, so they match it to rounding only.  `integrate`
+collects the blocks into a `Trajectory`; the pulse turns each into its
+stretch of the microwave waveform and the lock-in runs blockwise, so a
+pulse holds only t, the waveform, amplitude and phase: 32 B per step.
 
 Frames are the model's, except that the spectator (mode 0 of A, which is
 decoupled) runs in its own resonance frame, which is also the frame of
@@ -110,28 +110,30 @@ class Trajectory:
     b: np.ndarray
 
 
-def _recur(m, u, x=0.0):
-    """x_k = m x_{k-1} + u_k for k = 0 .. n-1 from x_{-1} = x, with a
-    constant m.  The steps run in chunks of _CHUNK: one matmul by the
-    Toeplitz matrix of the powers of m gives every chunk's response from a
-    zero state, and a carry over the chunks adds m^(k+1) times the state
-    entering each one (the affine scan of Blelloch, CMU-CS-90-190, 1990,
-    with a serial pass over the chunks)."""
-    n = u.size
+def _recur(m):
+    """scan(u, x) gives x_k = m x_{k-1} + u_k, k < n, from x_{-1} = x for a
+    constant m; the table is built once, here.  The steps run in chunks of
+    _CHUNK: one matmul by the Toeplitz matrix of the powers of m gives each
+    chunk's response from a zero state, and a serial carry over the chunks
+    adds m^(k+1) times the state entering each (Blelloch, CMU-CS-90-190)."""
     p = m ** np.arange(_CHUNK + 1)
     # upper[j, i] = m^(i - j) for i >= j, else 0
     upper = sliding_window_view(np.concatenate([np.zeros(_CHUNK - 1), p[:-1]]), _CHUNK)[::-1]
-    dtype = np.result_type(p, u, x)
-    chunks = np.zeros(-(-n // _CHUNK) * _CHUNK, dtype)
-    chunks[:n] = u
-    chunks = chunks.reshape(-1, _CHUNK) @ upper
-    carry = []
     m_chunk = p[-1].item()
-    for last in chunks[:, -1].tolist():
-        carry.append(x)
-        x = m_chunk * x + last
-    chunks += np.array(carry, dtype)[:, None] * p[1:]
-    return chunks.ravel()[:n]
+
+    def scan(u, x):
+        n, dtype = u.size, np.result_type(p, u, x)
+        chunks = np.zeros(-(-n // _CHUNK) * _CHUNK, dtype)
+        chunks[:n] = u
+        chunks = chunks.reshape(-1, _CHUNK) @ upper
+        carry = []
+        for last in chunks[:, -1].tolist():
+            carry.append(x)
+            x = m_chunk * x + last
+        chunks += np.array(carry, dtype)[:, None] * p[1:]
+        return chunks.ravel()[:n]
+
+    return scan
 
 
 def _recur_matrix(m):
@@ -196,29 +198,28 @@ def _rk4_affine(a, f, y, h):
     return [yi + sixth * (p + 2.0 * q + 2.0 * r + w) for yi, p, q, r, w in zip(y, k1, k2, k3, k4)]
 
 
-def _forcing_table(a, h, forcings=None):
+def _forcing_table(a, h):
     """(M, K) of one RK4 step y -> M y + s K of y' = A y + f, with the stage
-    matrices a (d x d scalars) of `_rk4_affine`.  s is the row of the 3d
-    forcing samples, f_i at t, t + h/2 and t + h in columns i, d + i and 2d
-    + i; or K's rows step zero under each stage forcing in `forcings`."""
+    matrices a (d x d scalars) of `_rk4_affine`: s is the row of the 3d
+    forcing samples, f_i at t, t + h/2 (stages 2 and 3) and t + h in
+    columns i, d + i and 2d + i, and K's rows step zero under unit samples."""
     zero = [0.0] * len(a[0])
     eye = np.eye(len(zero)).tolist()
-    if forcings is None:  # the unit samples; stages 2 and 3 both read t + h/2
-        forcings = [[e if stage == j else zero for stage in (0, 1, 1, 2)] for j in range(3) for e in eye]
+    units = ([e if stage == j else zero for stage in (0, 1, 1, 2)] for j in range(3) for e in eye)
     m = [_rk4_affine(a, [zero] * 4, unit, h) for unit in eye]  # the columns of M
-    return np.transpose(m), np.array([_rk4_affine(a, f, zero, h) for f in forcings])
+    return np.transpose(m), np.array([_rk4_affine(a, f, zero, h) for f in units])
 
 
 def _coupling_maps(pair, h, f):
     """maps(e) gives the (n, 2, 3) maps [M_k | u_k] of RK4 steps of the
-    pair under real stage couplings e = (e_1, .. e_4), arrays over the n
-    steps, and the constant forcing f = (f_0, f_1).  Being multilinear in
-    the e_s, [M_k | u_k] = p_k C, p_k the 16 products of e_s over subsets of
-    the stages; C, built here, is `_forcing_table` at e in {0, 1}^4,
-    Moebius-inverted."""
-    d0, d1, c0, c1 = pair
-    stages = ([[[d0, c0 * (c >> s & 1)], [c1 * (c >> s & 1), d1]] for s in range(4)] for c in range(16))
-    corners = [np.hstack([m, u.T]) for m, u in (_forcing_table(a, h, [[f] * 4]) for a in stages)]
+    coupled block pair, its off-diagonal scaled by real stage couplings e =
+    (e_1, .. e_4), arrays over the n steps, under a constant forcing f.
+    Being multilinear in the e_s, [M_k | u_k] = p_k C, p_k the 16 products
+    of e_s over subsets of the stages; C, built here, is `_forcing_table` at
+    e in {0, 1}^4 (forcing column np.tile(f, 3) @ K), Moebius-inverted."""
+    stages = ([[[v if i == j else v * (c >> s & 1) for j, v in enumerate(row)] for i, row in enumerate(pair)]
+               for s in range(4)] for c in range(16))
+    corners = [np.hstack([m, (np.tile(f, 3) @ k)[:, None]]) for m, k in (_forcing_table(a, h) for a in stages)]
     mobius = reduce(np.kron, [[[1.0, 0.0], [-1.0, 1.0]]] * 4)  # inverts the sums over subsets
     table = (mobius @ np.array(corners).reshape(16, 6)).view(float)
 
@@ -231,39 +232,35 @@ def _coupling_maps(pair, h, f):
     return maps
 
 
-def _stepper(t0, dt, n, lam, pair, inputs):
+def _stepper(t, dt, lam, pair, inputs, ring_up):
     """Fixed-step classical RK4 of a scalar mode x and a coupled pair y,
 
-        x' = lam x + f_x(t),
-        y' = [[d0, c0 e(t)], [c1 e(t), d1]] y + (f_0(t), f_1(t)),
+        x' = lam x + f_x(t),  y' = P y + (f_0(t), f_1(t)),
 
-    from x = y_0 = y_1 = 0 at t0, with pair = (d0, d1, c0, c1), in blocks
-    of _BLOCK steps.  inputs(ts) returns (f_x, e, f_0, f_1) at ts, each a
-    scalar or an array over ts: at t0, then at each block's later step
-    times and midpoints, so each time is sampled once; the stage at t_k + h
-    uses the sample at t_{k+1}.  The forcing of x, and of y if e is one
-    scalar for the run, is the samples times `_forcing_table`, and they run
-    through `_recur` and `_recur_matrix`.  e = None makes the coupling
-    follow x's RK4 stages (a ring-up: lam, f_x real; f_0, f_1 scalars), and
-    y runs through `_coupling_maps` and `_scan_steps`.  |x| + |y_0| + |y_1|
-    is tested for divergence every _CHECK_EVERY steps and at each block's
-    end, so a run shorter than _CHECK_EVERY steps is tested too.  Yields (t,
-    x, y_0, y_1) arrays: the zero state at t0, then each block's states."""
-    d0, d1, c0, c1 = pair
-    x, y = 0.0, (0.0j, 0.0j)
-    half = 0.5 * dt
+    from x = y = 0 at t[0] over the caller's time axis t (len(t) - 1 steps
+    of dt), in blocks of _BLOCK steps; pair is P, A's coupled block as rows.
+    inputs(ts) returns (f_x, f_0, f_1) at ts, each a scalar or an array
+    over ts: at t[0], then at each block's later step times and midpoints,
+    so each time is sampled once; the stage at t_k + h uses the sample at
+    t_{k+1}.  Each forcing is the samples times `_forcing_table`; x runs
+    through `_recur`, y through `_recur_matrix`.  Under ring_up (lam, f_x
+    real; f_0, f_1 scalars) P's couplings follow x's RK4 stages, and y runs
+    through `_coupling_maps` and `_scan_steps`.  |x| + |y_0| + |y_1| is
+    tested for divergence every _CHECK_EVERY steps and at each block's end.
+    Yields (x, y_0, y_1) arrays: the zero state, then each block's states."""
+    n, half, x, y = len(t) - 1, 0.5 * dt, 0.0, (0.0j, 0.0j)
     ((m,),), kx = _forcing_table([[[lam]]] * 4, dt)
-    _, e, *f = edge = [v[0] if np.ndim(v) else v for v in inputs(np.array([t0 + 0.0 * dt]))]  # samples at t_k0
-    if e is None:
+    scan_x = _recur(m)
+    _, *f = edge = [v[0] if np.ndim(v) else v for v in inputs(t[:1])]  # samples at t_k0
+    if ring_up:
         maps = _coupling_maps(pair, dt, f)
     else:
-        m_pair, k = _forcing_table([[[d0, c0 * e], [c1 * e, d1]]] * 4, dt)
+        m_pair, k = _forcing_table([pair] * 4, dt)
         scan = _recur_matrix(m_pair)
-    yield np.array([t0 + 0.0 * dt]), *np.zeros((3, 1), dtype=complex)
+    yield tuple(np.zeros((3, 1), dtype=complex))
     for k0 in range(0, n, _BLOCK):
         nb = min(_BLOCK, n - k0)
-        t = t0 + np.arange(k0, k0 + nb + 1) * dt
-        samples = inputs(np.concatenate([t[1:], t[:-1] + half]))
+        samples = inputs(np.concatenate([t[k0 + 1:k0 + nb + 1], t[k0:k0 + nb] + half]))
 
         def rows(vs, v0s):  # each step's samples of vs: all at t_k, then at t_k + h/2, then at t_{k+1}
             vs = [np.broadcast_to(v, 2 * nb) for v in vs]
@@ -271,14 +268,14 @@ def _stepper(t0, dt, n, lam, pair, inputs):
                             + [v[:nb] for v in vs], axis=-1)
 
         sx = rows(samples[:1], edge[:1])
-        xs = _recur(m, (sx @ kx)[:, 0], x)
-        if e is None:
+        xs = scan_x((sx @ kx)[:, 0], x)
+        if ring_up:
             x1 = np.concatenate([[x], xs[:-1]])
             x2 = x1 + half * (lam * x1 + sx[:, 0])
             x3 = x1 + half * (lam * x2 + sx[:, 1])
             ys = _scan_steps(maps((x1, x2, x3, x1 + dt * (lam * x3 + sx[:, 1]))), y)[:, 1:]
         else:
-            ys = scan(rows(samples[2:], edge[2:]) @ k, y)
+            ys = scan(rows(samples[1:], edge[1:]) @ k, y)
         edge = [v[nb - 1] if np.ndim(v) else v for v in samples]
         block = (xs, *ys)
         # k0 is a multiple of _CHECK_EVERY; the block's last step is checked too
@@ -289,10 +286,10 @@ def _stepper(t0, dt, n, lam, pair, inputs):
         if bad.size:
             i = k0 + int(check[bad[0]])
             raise InstabilityError(
-                f"trajectory diverged at t={t0 + (i + 1) * dt!r} (|state| ~ {float(mag[bad[0]])!r}); "
+                f"trajectory diverged at t={float(t[i + 1])!r} (|state| ~ {float(mag[bad[0]])!r}); "
                 "operating point is above the parametric threshold"
             )
-        yield t[1:], *block
+        yield block
         x, y = xs[-1].item(), ys[:, -1]
 
 
@@ -329,7 +326,9 @@ def integrate(
     b (b_dag, driven by the conjugate microwave drive, under Stokes) form a
     complex-linear pair.  The steps run as the affine recurrence y_{k+1} =
     M_k y_k + u_k in blocks of _BLOCK steps; each drive is called once per
-    step time and once per midpoint.
+    step time and once per midpoint.  An unknown drive key, a dt not
+    positive and finite, or a t_span not finite with t0 <= t1 raises
+    ValueError before anything is built.
 
     Parameters
     ----------
@@ -343,27 +342,31 @@ def integrate(
     max_drive_freq : fastest frequency content of the drive envelopes [Hz],
         declared by the caller for step validation.
     """
-    opt = drives.get("optical")
-    mw = drives.get("microwave")
+    t0, t1 = t_span
+    unknown = [key for key in drives if key not in ("optical", "microwave")]
+    if unknown:
+        raise ValueError(f"unknown drive keys {unknown!r}: expected 'optical' and 'microwave' only")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"step dt must be positive and finite, got {dt!r}")
+    steps = (t1 - t0) / dt
+    if not 0.0 <= steps < math.inf:  # a non-finite t0 or t1 gives no finite step count
+        raise ValueError(f"t_span must be finite with t0 <= t1 in a finite number of steps, got {t_span!r}")
+    opt, mw = drives.get("optical"), drives.get("microwave")
     model = linear_model(op)
     a, b = model.a, model.b
     spectator = a[0][0]  # A is block diagonal: mode 0 alone, modes 1 and 2 coupled
 
     _check_step(dt, model, max_drive_freq + (abs(spectator.imag) / TWO_PI if opt is not None else 0.0))
 
-    t0, t1 = t_span
-    n_steps = int(math.ceil((t1 - t0) / dt))
-
     def inputs(ts):
         a_in, c_in = (0.0 if fn is None else np.fromiter(map(fn, ts.tolist()), complex, ts.size) for fn in (opt, mw))
         c_in = np.conj(c_in) if model.sigma_u[1] < 0 else c_in  # an anomalous microwave port
         # a_in is in the spectator's frame, Im(A_ss) off the pair's
-        return b[0][0] * a_in, 1.0, b[1][0] * a_in * np.exp(1j * spectator.imag * ts), b[2][1] * c_in
+        return b[0][0] * a_in, b[1][0] * a_in * np.exp(1j * spectator.imag * ts), b[2][1] * c_in
 
-    pair = (a[1][1], a[2][2], a[1][2], a[2][1])  # (d0, d1, c0, c1)
-    t = t0 + np.arange(n_steps + 1) * dt  # the stepper's times
-    states, k = np.empty((3, n_steps + 1), dtype=complex), 0
-    for _, *block in _stepper(t0, dt, n_steps, spectator.real, pair, inputs):
+    t = t0 + np.arange(math.ceil(steps) + 1) * dt
+    states, k = np.empty((3, t.size), dtype=complex), 0
+    for block in _stepper(t, dt, spectator.real, [row[1:] for row in a[1:]], inputs, ring_up=False):
         states[:, k:k + block[0].size] = block
         k += block[0].size
     return Trajectory(t=t, **{name.removesuffix("_dag"): v if sign > 0 else v.conj()
@@ -395,13 +398,13 @@ def lockin_demodulate(
             f"got {1.0 / (dt * f_ref)!r}"
         )
     alpha = 1.0 - math.exp(-dt / config.tau_rc)
-    amp, phase, x = np.empty(t.size), np.empty(t.size), 0.0
+    scan, amp, phase, x = _recur(1.0 - alpha), np.empty(t.size), np.empty(t.size), 0.0
     edges = [*range(0, max(t.size - _CHUNK, 1), _BLOCK), t.size]
     for s in map(slice, edges[:-1], edges[1:]):
         phase_ref = config.omega_ref * t[s]
         i_mix = signal[s] * 2.0 * np.cos(phase_ref)
         q_mix = signal[s] * (-2.0) * np.sin(phase_ref)
-        filtered = _recur(1.0 - alpha, alpha * (i_mix + 1j * q_mix), x)  # I + iQ
+        filtered = scan(alpha * (i_mix + 1j * q_mix), x)  # I + iQ
         amp[s], phase[s], x = np.abs(filtered), np.angle(filtered), filtered[-1].item()
     return amp, phase
 
@@ -447,23 +450,20 @@ def pulsed_downconversion(
         needed = math.ceil(steps) if math.isfinite(steps) else steps
         raise ValueError(f"the pulsed window needs {needed} integrator steps, more than {_MAX_PULSE_STEPS}: "
                          "shorten lockin_tau_s or sim_duration_s")
-    n = math.ceil(steps)
 
     # x: the pumped spectator's amplitude over its steady state, its RK4
     # stages scaling the pair's couplings (A holds them at full pump).
-    a, b = model.a, model.b
+    a, b, s_opt = model.a, model.b, math.sqrt(optical_input_flux)
     lam = a[0][0].real
-    s_opt = math.sqrt(optical_input_flux)
 
     def inputs(ts):
-        return -lam * pulse.envelope(ts, t_start), None, b[1][0] * s_opt, 0.0
+        return -lam * pulse.envelope(ts, t_start), b[1][0] * s_opt, 0.0
 
-    pair = (a[1][1], a[2][2], a[1][2], a[2][1])
-    t, waveform = np.arange(n + 1) * dt, np.empty(n + 1)  # the stepper's times, from t0 = 0.0
-    k = 0
-    for tb, _, _, b_dag in _stepper(0.0, dt, n, lam, pair, inputs):
+    t = np.arange(math.ceil(steps) + 1) * dt
+    waveform, k = np.empty(t.size), 0
+    for _, _, b_dag in _stepper(t, dt, lam, [row[1:] for row in a[1:]], inputs, ring_up=True):
         c_out_env = (model.c[1][2] * b_dag).conj()  # c_out_dag; no microwave input
-        waveform[k:k + tb.size] = np.real(c_out_env * np.exp(-1j * op.omega_m * tb))
-        k += tb.size
+        waveform[k:k + b_dag.size] = np.real(c_out_env * np.exp(-1j * op.omega_m * t[k:k + b_dag.size]))
+        k += b_dag.size
     amp, phase = lockin_demodulate(t, waveform, lockin)
     return t, amp, phase

@@ -239,6 +239,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, broken))
 
+    def test_zero_pump_frequency_is_config_error(self, tmp_path, capsys):
+        """pump_freq_hz = 0.0 passes the non-negative key check; the pump
+        refuses it, and the verb exits 1 with that message."""
+        out = tmp_path / "x.json"
+        cfg = write_config(tmp_path, PAPER_CONFIG + "pump_freq_hz = 0.0\n")
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: invalid pump settings: pump frequency must be positive\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["g0_hz = nan", "coupling_j_hz = inf", "mode1_freq_hz = -inf",
                                       "probes_db = inf", "pump_power_dbm = nan",
                                       pytest.param("g0_hz = 1" + "0" * 309, id="g0_hz = 10**309")])
@@ -442,6 +452,20 @@ class TestSpectrumCommand:
         out = tmp_path / "x.csv"
         assert main(["spectrum", "--config", str(cfg), "--out", str(out), f"--grid={grid}"]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1e9,2e9", "--grid expects start,stop,n"),
+        ("a,2e9,5", "bad --grid value: could not convert string to float: 'a'"),
+        ("1e9,2e9,5.5", "bad --grid value: invalid literal for int() with base 10: '5.5'"),
+    ])
+    def test_malformed_grid_flag_is_config_error(self, tmp_path, capsys, grid, message):
+        """A --grid of the wrong arity or with a non-number exits 1 with its
+        message and writes no file."""
+        out = tmp_path / "x.csv"
+        argv = ["spectrum", "--config", str(write_config(tmp_path, PAPER_CONFIG)), "--out", str(out), f"--grid={grid}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["grid_points", "--grid"])

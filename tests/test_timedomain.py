@@ -244,7 +244,7 @@ def _pulsed_ref(
 
 def _lockin_ref(t, signal, config):
     """The one-pass lock-in that the blockwise `lockin_demodulate` replaced:
-    the whole signal mixed, filtered by one `_recur` call, then abs and
+    the whole signal mixed, filtered by one `_recur` scan, then abs and
     angle."""
     t = np.asarray(t, dtype=float)
     signal = np.asarray(signal, dtype=float)
@@ -261,18 +261,20 @@ def _lockin_ref(t, signal, config):
     i_mix = signal * 2.0 * np.cos(phase_ref)
     q_mix = signal * (-2.0) * np.sin(phase_ref)
     alpha = 1.0 - math.exp(-dt / config.tau_rc)
-    filtered = _recur(1.0 - alpha, alpha * (i_mix + 1j * q_mix))  # I + iQ
+    filtered = _recur(1.0 - alpha)(alpha * (i_mix + 1j * q_mix), 0.0)  # I + iQ
     return np.abs(filtered), np.angle(filtered)
 
 
 def _pulsed_whole_array(monkeypatch, *args):
     """`pulsed_downconversion(*args)` and the whole-array composition of
     the same stepper blocks: the acoustic mode collected over the window,
-    the waveform synthesized from it in one pass, then `_lockin_ref`."""
+    the waveform synthesized from it on the pulse's time axis in one pass,
+    then `_lockin_ref`.  That axis is 24 steps per carrier cycle from 0,
+    bit for bit."""
     blocks, stepper = [], timedomain._stepper
 
-    def recording_stepper(*stepper_args):
-        for block in stepper(*stepper_args):
+    def recording_stepper(*stepper_args, **kwargs):
+        for block in stepper(*stepper_args, **kwargs):
             blocks.append(block)
             yield block
 
@@ -280,7 +282,8 @@ def _pulsed_whole_array(monkeypatch, *args):
     streamed = pulsed_downconversion(*args)
     params, _, _, lockin, pump, _ = args
     op = operating_point(params, PumpConfig(Configuration.STOKES, pump.power_in, pump.omega_l))
-    t, b_dag = (np.concatenate(v) for v in list(zip(*blocks))[::3])
+    t, b_dag = streamed[0], np.concatenate([block[2] for block in blocks])
+    assert np.array_equal(t, np.arange(b_dag.size) * (1.0 / (24 * (op.omega_m / TWO_PI))))
     waveform = np.real((linear_model(op).c[1][2] * b_dag).conj() * np.exp(-1j * op.omega_m * t))
     return streamed, (t, *_lockin_ref(t, waveform, lockin))
 
@@ -608,6 +611,47 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(op, None, {}, (0.0, 1e-6), 1.0 / op.kappa_m)
 
+    @pytest.mark.parametrize("drives, t_span, dt, message", [
+        ({"microwav": None}, (0.0, 1e-9), 1e-13, "unknown drive keys ['microwav']: "),
+        ({}, (0.0, 1e-9), 0.0, "step dt must be positive and finite, got 0.0"),
+        ({}, (0.0, 1e-9), -1e-13, "step dt must be positive and finite, got -1e-13"),
+        ({}, (0.0, 1e-9), math.nan, "step dt must be positive and finite, got nan"),
+        ({}, (0.0, 1e-9), math.inf, "step dt must be positive and finite, got inf"),
+        ({}, (1e-9, 0.0), 1e-13, "t_span must be finite with t0 <= t1"),
+        ({}, (0.0, math.nan), 1e-13, "t_span must be finite with t0 <= t1"),
+        ({}, (0.0, math.inf), 1e-13, "t_span must be finite with t0 <= t1"),
+        ({}, (-math.inf, 0.0), 1e-13, "t_span must be finite with t0 <= t1"),
+        ({}, (math.nan, 0.0), 1e-13, "t_span must be finite with t0 <= t1"),
+    ], ids=["drive-key-typo", "zero-dt", "negative-dt", "nan-dt", "inf-dt", "reversed-span", "nan-end",
+            "inf-end", "minus-inf-start", "nan-start"])
+    def test_bad_input_is_refused_before_anything_is_built(self, monkeypatch, drives, t_span, dt, message):
+        """Bad input raises ValueError naming it, before the stepper runs
+        or a drive is called: a zero step used to raise ZeroDivisionError, a
+        negative one or a reversed window numpy's negative dimensions, a
+        non-finite end ValueError or OverflowError from math.ceil, and a
+        drive key typo integrated an undriven system."""
+        calls = []
+        drives = {**drives, "optical": lambda t: calls.append(t) or 1.0}
+        monkeypatch.setattr(timedomain, "_stepper", None)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            integrate(make_rates_op(Configuration.STOKES), None, drives, t_span, dt)
+        assert not calls
+
+    def test_recurrence_tables_built_once_per_run(self, monkeypatch):
+        """The scalar recurrence's table is built once per run: once for a
+        multi-block integrate, twice for a pulse (the stepper's spectator
+        and the lock-in)."""
+        recur, built = timedomain._recur, []
+        monkeypatch.setattr(timedomain, "_recur", lambda *args: built.append(args) or recur(*args))
+        op = make_rates_op(Configuration.STOKES, cooperativity=0.3)
+        dt = _dt_for(op, optical_drive=True)
+        integrate(op, None, {"optical": lambda t: 0.8, "microwave": lambda t: 0.6j}, (0.0, (3 * _BLOCK + 7) * dt), dt)
+        assert len(built) == 1
+        built.clear()
+        pulsed_downconversion(make_paper_device(), PulseSequence(0.1e-6, 100e3), 1e12,
+                              LockInConfig(TWO_PI * 3.48e9, 10e-9), PumpConfig(Configuration.STOKES, 0.126), 0.15e-6)
+        assert len(built) == 2
+
 
 def _assert_close_trajectories(traj, ref):
     assert np.array_equal(traj.t, ref.t)
@@ -813,7 +857,7 @@ class TestRecurrence:
         rng = np.random.default_rng(n)
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         ref = lfilter([1.0], [1.0, -m], u, zi=[m * x0])[0]
-        got = _recur(m, u, x0)
+        got = _recur(m)(u, x0)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -824,9 +868,21 @@ class TestRecurrence:
         alpha = 1.0 - self.M_LOCKIN
         u = np.cos(0.37 * np.arange(n)) * (1.0 + 0.1 * np.sin(1e-3 * np.arange(n)))
         ref = lfilter([alpha], [1.0, -(1.0 - alpha)], u)
-        got = _recur(1.0 - alpha, alpha * u)
+        got = _recur(1.0 - alpha)(alpha * u, 0.0)
         assert got.dtype == np.float64
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_reuse(self):
+        """One scan serves any number of runs, each from its own state."""
+        from scipy.signal import lfilter
+
+        m = 0.9 * cmath.exp(0.3j)
+        scan = _recur(m)
+        for n, x0 in ((300, 0.0), (1000, 0.8 - 1.3j)):
+            u = np.linspace(0.0, 1.0, n) * 1j + 0.25
+            ref = lfilter([1.0], [1.0, -m], u, zi=[m * x0])[0]
+            got = scan(u, x0)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _per_step_maps(kind, n, seed):
@@ -940,7 +996,7 @@ class TestTables:
         rng = np.random.default_rng(seed)
         op = make_rates_op(cfg, cooperativity=rng.uniform(0.05, 0.9))
         a = linear_model(op).a
-        d0, d1, c0, c1 = pair = (a[1][1], a[2][2], a[1][2], a[2][1])
+        (d0, c0), (c1, d1) = pair = [row[1:] for row in a[1:]]  # A's coupled block
         dt, n = _dt_for(op, optical_drive=True), 64
         zero, units = [0.0, 0.0], np.eye(2).tolist()
         # the ring-up: real couplings per stage and step, a constant forcing
