@@ -326,9 +326,8 @@ def integrate(
     b (b_dag, driven by the conjugate microwave drive, under Stokes) form a
     complex-linear pair.  The steps run as the affine recurrence y_{k+1} =
     M_k y_k + u_k in blocks of _BLOCK steps; each drive is called once per
-    step time and once per midpoint.  An unknown drive key, a dt not
-    positive and finite, or a t_span not finite with t0 <= t1 raises
-    ValueError before anything is built.
+    step time and once per midpoint.  Unknown drive keys, a non-positive or
+    non-finite dt and a non-finite or reversed t_span raise ValueError first.
 
     Parameters
     ----------
@@ -343,8 +342,7 @@ def integrate(
         declared by the caller for step validation.
     """
     t0, t1 = t_span
-    unknown = [key for key in drives if key not in ("optical", "microwave")]
-    if unknown:
+    if unknown := [key for key in drives if key not in ("optical", "microwave")]:
         raise ValueError(f"unknown drive keys {unknown!r}: expected 'optical' and 'microwave' only")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"step dt must be positive and finite, got {dt!r}")
@@ -432,8 +430,8 @@ def pulsed_downconversion(
     microwave output at the acoustic carrier is synthesized as a real
     waveform and demodulated by the lock-in model.  The pulse starts at 3
     tau_rc, and the integrator takes 24 steps per acoustic carrier cycle; a
-    step `_check_step` refuses, or a window over _MAX_PULSE_STEPS steps,
-    raises ValueError with its advice before anything is allocated.
+    negative duration, a step `_check_step` refuses or a window over
+    _MAX_PULSE_STEPS steps raises ValueError before anything is allocated.
 
     Returns (t, amplitude, phase).
     """
@@ -443,6 +441,8 @@ def pulsed_downconversion(
     model = linear_model(op)
     dt = 1.0 / (24 * (op.omega_m / TWO_PI))  # 24 steps per acoustic carrier cycle
     _check_step(dt, model, advice=": 24 steps per acoustic carrier cycle are too few for the device's linewidths")
+    if duration is not None and duration < 0.0:
+        raise ValueError(f"the pulsed window's duration must be non-negative, got {duration!r}")
     t_start = 3.0 * lockin.tau_rc
     t_end = t_start + (duration if duration is not None else min(pulse.tau_on, 1.0e-6) + 10.0 * lockin.tau_rc)
     steps = t_end / dt  # compared as a float: an infinite or NaN window has no int

@@ -1107,6 +1107,15 @@ class TestPulsed:
             pulsed_downconversion(dev, PulseSequence(1e-6, 100e3), optical_input_flux=1e12,
                                   lockin=lockin, pump=PumpConfig(Configuration.STOKES, 0.05), duration=duration)
 
+    def test_negative_duration_refused(self, monkeypatch):
+        """A window that would end before t = 0 is refused before the
+        stepper runs; it used to raise numpy's negative dimensions."""
+        monkeypatch.setattr(timedomain, "_stepper", None)
+        with pytest.raises(ValueError, match=r"^the pulsed window's duration must be non-negative, got -1e-06$"):
+            pulsed_downconversion(make_paper_device(), PulseSequence(1e-6, 100e3), optical_input_flux=1e12,
+                                  lockin=LockInConfig(TWO_PI * 3.48e9, 30e-9),
+                                  pump=PumpConfig(Configuration.STOKES, 0.05), duration=-1e-6)
+
     def test_step_checked_against_the_rates(self, monkeypatch):
         """A 1e12 Hz acoustic linewidth outruns 24 steps per carrier cycle:
         ValueError with the step rule of `integrate` and its own advice,
